@@ -30,6 +30,8 @@ final class DominanceChecker(
     extends Serializable {
 
   require(types.length == dirs.length)
+  require(dirs.length <= DominanceChecker.MaxDimensions,
+    s"at most ${DominanceChecker.MaxDimensions} skyline dimensions are supported, got ${dirs.length}")
 
   // Rebuilt lazily on each executor: DataType is always serializable, the
   // interpreted orderings need not be.
@@ -46,11 +48,6 @@ final class DominanceChecker(
     else if (a == null) -1
     else if (b == null) 1
     else orderings(i).compare(a, b)
-
-  /** Null-aware comparison on dimension `i` (nulls first) — used by the
-    * single-dimension optimized operator.
-    */
-  def compareValues(i: Int, a: Any, b: Any): Int = cmp(i, a, b)
 
   /** Does tuple `a` dominate tuple `b` (a < b in the paper's notation)? */
   def dominates(a: Array[Any], b: Array[Any]): Boolean =
@@ -112,13 +109,19 @@ final class DominanceChecker(
   }
 
   /** Null bitmap of a tuple: bit i set iff dimension i is null (§5.7). */
-  def nullBitmap(a: Array[Any]): Int = {
-    var bits = 0
+  def nullBitmap(a: Array[Any]): Long = {
+    var bits = 0L
     var i = 0
     while (i < arity) {
-      if (a(i) == null) bits |= (1 << i)
+      if (a(i) == null) bits |= (1L << i)
       i += 1
     }
     bits
   }
+}
+
+object DominanceChecker {
+
+  /** The null bitmap is one `Long`, so a skyline has at most 64 dimensions. */
+  val MaxDimensions = 64
 }

@@ -96,11 +96,35 @@ object SkylineAlgorithms {
       rows: Iterator[(T, Array[Any])],
       checker: DominanceChecker,
       distinct: Boolean): Iterator[(T, Array[Any])] = {
-    val groups = mutable.LinkedHashMap.empty[Int, ArrayBuffer[(T, Array[Any])]]
+    val groups = mutable.LinkedHashMap.empty[Long, ArrayBuffer[(T, Array[Any])]]
     while (rows.hasNext) {
       val t = rows.next()
       groups.getOrElseUpdate(checker.nullBitmap(t._2), ArrayBuffer.empty) += t
     }
     groups.valuesIterator.flatMap(g => bnl(g.iterator, checker, distinct))
+  }
+
+  /** Single-dimension MIN/MAX skyline (§5.4). In one dimension a tuple
+    * dominates another iff it is strictly better, so the skyline is every
+    * tuple that ties the best value: one pass, one comparison per tuple.
+    * In incomplete mode a tuple whose dimension is null shares no non-null
+    * dimension with anything, so it is incomparable and always kept; in
+    * complete mode the checker orders nulls first.
+    */
+  def extreme[T](
+      rows: Iterator[(T, Array[Any])],
+      checker: DominanceChecker): ArrayBuffer[(T, Array[Any])] = {
+    require(checker.arity == 1, "extreme takes exactly one dimension")
+    val out = ArrayBuffer.empty[(T, Array[Any])]
+    val best = ArrayBuffer.empty[(T, Array[Any])]
+    while (rows.hasNext) {
+      val t = rows.next()
+      if (checker.incomplete && t._2(0) == null) out += t
+      else if (best.isEmpty || checker.dominates(t._2, best(0)._2)) {
+        best.clear()
+        best += t
+      } else if (!checker.dominates(best(0)._2, t._2)) best += t
+    }
+    out ++= best
   }
 }

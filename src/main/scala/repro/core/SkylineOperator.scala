@@ -26,6 +26,9 @@ case class SkylineOperator(
     extends UnaryNode {
 
   require(dimensions.nonEmpty, "SKYLINE OF requires at least one dimension")
+  require(dimensions.lengthCompare(DominanceChecker.MaxDimensions) <= 0,
+    s"SKYLINE OF supports at most ${DominanceChecker.MaxDimensions} dimensions, " +
+      s"got ${dimensions.length}")
 
   override def output: Seq[Attribute] = child.output
 

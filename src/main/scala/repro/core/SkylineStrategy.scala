@@ -3,70 +3,52 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
-import repro.core.physical._
+import repro.core.physical.{SkylineExec, SkylineStep}
 
-/** Confs controlling skyline planning (all runtime-settable). */
+/** The conf controlling skyline planning (runtime-settable). */
 object SkylineConf {
-  /** auto | distributed-complete | non-distributed-complete |
-    * distributed-incomplete — `auto` is Listing 8; the explicit values force
-    * one of the paper's four benchmark algorithms (§6.3; "reference" is not
-    * an algorithm of ours but the plain-SQL rewrite).
+  /** `auto` is Listing 8; the other values force one of the paper's
+    * benchmark algorithms (§6.3; "reference" is not an algorithm of ours
+    * but the plain-SQL rewrite).
     */
   val Algorithm = "spark.sql.skyline.algorithm"
 
-  /** Enable the 1-dimension MIN/MAX rewrite of §5.4 (default true). */
-  val SingleDimOpt = "spark.sql.skyline.singleDimOptimization"
+  val Algorithms: Seq[String] =
+    Seq("auto", "distributed-complete", "non-distributed-complete", "distributed-incomplete")
 
-  /** Enable pushing the skyline into non-reductive joins (§5.4, default true). */
-  val JoinPushdown = "spark.sql.skyline.joinPushdown"
+  /** The conf's value; a value outside `Algorithms` is an error. */
+  def algorithm(session: SparkSession): String = {
+    val value = session.conf.get(Algorithm, "auto")
+    require(Algorithms.contains(value),
+      s"$Algorithm must be one of ${Algorithms.mkString(", ")}; got '$value'")
+    value
+  }
 }
 
 /** Physical planning for [[SkylineOperator]] — the algorithm selection of
-  * §5.5 (Listing 8).
+  * §5.5 (Listing 8), mapped onto the kernel table of [[SkylineExec]].
   *
-  * The complete algorithm may be used when the query says `COMPLETE` or all
-  * skyline dimensions are non-nullable; otherwise the bitmap-partitioned
-  * incomplete pair of nodes is chosen. Both variants split the work into a
-  * distributed local node and an AllTuples global node. A single MIN/MAX
-  * dimension short-circuits to [[SingleDimSkylineExec]] in every mode
-  * (matching the paper's Table 5, where all specialized algorithms collapse
-  * to ~2% of the reference at one dimension).
+  * The complete kernels may be used when the query says `COMPLETE` or all
+  * skyline dimensions are non-nullable, or when a complete algorithm is
+  * forced; otherwise the incomplete ones are. Every plan is a local step
+  * under a global step, except that `non-distributed-complete` omits the
+  * local step. A single MIN/MAX dimension keeps its local step in every
+  * mode (the paper's Table 5, where all specialized algorithms collapse to
+  * ~2% of the reference at one dimension).
   */
 case class SkylineStrategy(session: SparkSession) extends SparkStrategy {
 
   override def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
     case SkylineOperator(distinct, complete, dims, child) =>
-      val algorithm = session.conf.get(SkylineConf.Algorithm, "auto")
-      val singleDimOk =
-        session.conf.get(SkylineConf.SingleDimOpt, "true").toBoolean &&
-          dims.lengthCompare(1) == 0 && dims.head.direction != Direction.Diff &&
-          !distinct
-      val completeOk = complete || dims.forall(d => !d.child.nullable)
-
-      def planned: SparkPlan = algorithm match {
-        case "distributed-complete" =>
-          if (singleDimOk) SingleDimSkylineExec(dims.head, incomplete = false, planLater(child))
-          else GlobalSkylineExec(dims, distinct,
-            LocalSkylineExec(dims, distinct, planLater(child)))
-        case "non-distributed-complete" =>
-          if (singleDimOk) SingleDimSkylineExec(dims.head, incomplete = false, planLater(child))
-          else GlobalSkylineExec(dims, distinct, planLater(child))
-        case "distributed-incomplete" =>
-          if (singleDimOk) SingleDimSkylineExec(dims.head, incomplete = true, planLater(child))
-          else IncompleteGlobalSkylineExec(dims, distinct,
-            IncompleteLocalSkylineExec(dims, distinct, planLater(child)))
-        case _ => // auto — Listing 8
-          if (singleDimOk) {
-            SingleDimSkylineExec(dims.head, incomplete = !completeOk, planLater(child))
-          } else if (completeOk) {
-            GlobalSkylineExec(dims, distinct,
-              LocalSkylineExec(dims, distinct, planLater(child)))
-          } else {
-            IncompleteGlobalSkylineExec(dims, distinct,
-              IncompleteLocalSkylineExec(dims, distinct, planLater(child)))
-          }
+      val algorithm = SkylineConf.algorithm(session)
+      val incomplete = algorithm match {
+        case "auto" => !complete && dims.exists(_.child.nullable)
+        case forced => forced == "distributed-incomplete"
       }
-      planned :: Nil
+      val local = algorithm != "non-distributed-complete" || SkylineExec.singleDim(dims, distinct)
+      val input = planLater(child)
+      SkylineExec(dims, distinct, incomplete, SkylineStep.Global,
+        if (local) SkylineExec(dims, distinct, incomplete, SkylineStep.Local, input) else input) :: Nil
     case _ => Nil
   }
 }

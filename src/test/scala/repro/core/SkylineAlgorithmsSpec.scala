@@ -1,15 +1,22 @@
 package repro.core
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{DataType, IntegerType}
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.reference.BruteForce
 import scala.util.Random
 
 /** Unit tests of the pure skyline kernels against a definitional filter
-  * built from the same dominance checker.
+  * built from the same dominance checker, and a randomized test of every
+  * row of the kernel table against [[BruteForce]].
   */
 class SkylineAlgorithmsSpec extends AnyFunSuite {
 
   import Direction._
+  import SkylineAlgorithmsSpec.Input
 
   private def checker(dirs: Seq[Direction], incomplete: Boolean = false) =
     new DominanceChecker(
@@ -205,4 +212,84 @@ class SkylineAlgorithmsSpec extends AnyFunSuite {
     val b = SkylineAlgorithms.bnl(data.iterator, c, distinct = false).map(_._1).toSet
     assert(a == b)
   }
+
+  test("33 dimensions: null bitmaps of dimensions 0 and 32 do not alias (Appendix A cycle)") {
+    val c = checker(Seq.fill(33)(Min), incomplete = true)
+    def t(d0: Any, d1: Any, d32: Any): Array[Any] = Array[Any](d0, d1) ++ Array.fill[Any](30)(0) :+ d32
+    val data = Seq(t(1, null, 10), t(3, 2, null), t(null, 5, 3)).zipWithIndex.map(_.swap)
+    assert(c.nullBitmap(data(1)._2) != c.nullBitmap(data(2)._2))
+    val local = SkylineAlgorithms.bnlByNullBitmap(data.iterator, c, distinct = false).toIndexedSeq
+    assert(local.size == 3, "b and c sit in different bitmap groups")
+    assert(SkylineAlgorithms.allPairsDeferred(local, c, distinct = false).isEmpty)
+  }
+
+  test("the checker rejects more than 64 dimensions") {
+    val err = intercept[IllegalArgumentException](checker(Seq.fill(65)(Min)))
+    assert(err.getMessage.contains("at most 64"))
+  }
+
+  // ---- the kernel table, randomized ------------------------------------
+
+  private type Kernel =
+    (Iterator[(Int, Array[Any])], DominanceChecker, Boolean) => Seq[(Int, Array[Any])]
+
+  private val bnl: Kernel = (r, c, d) => SkylineAlgorithms.bnl(r, c, d).toSeq
+  private val bnlByNullBitmap: Kernel = (r, c, d) => SkylineAlgorithms.bnlByNullBitmap(r, c, d).toSeq
+  private val allPairsDeferred: Kernel =
+    (r, c, d) => SkylineAlgorithms.allPairsDeferred(r.toIndexedSeq, c, d).toSeq
+  private val extreme: Kernel = (r, c, _) => SkylineAlgorithms.extreme(r, c).toSeq
+
+  /** The rows of `SkylineExec`'s kernel table: (case, incomplete, local, global). */
+  private def kernelTable(singleDim: Boolean): Seq[(String, Boolean, Kernel, Kernel)] =
+    Seq(("complete", false, bnl, bnl),
+        ("incomplete", true, bnlByNullBitmap, allPairsDeferred)) ++
+      (if (singleDim) Seq(("extreme complete", false, extreme, extreme),
+                          ("extreme incomplete", true, extreme, extreme))
+       else Nil)
+
+  private val inputs: Gen[Input] = for {
+    d        <- Gen.choose(1, 8)
+    dirs     <- Gen.listOfN(d, Gen.oneOf(Min, Max, Diff))
+    n        <- Gen.oneOf(Gen.const(0), Gen.choose(1, 40))
+    domain   <- Gen.choose(1, 5)
+    nulls    <- Gen.oneOf(0, 2, 8)
+    value     = Gen.frequency(nulls -> Gen.const(null), 10 -> Gen.choose(0, domain - 1).map(Int.box))
+    data     <- Gen.listOfN(n, Gen.listOfN(d, value))
+    distinct <- Gen.oneOf(false, true)
+    parts    <- Gen.choose(1, 5)
+    partOf   <- Gen.listOfN(n, Gen.choose(0, parts - 1))
+  } yield Input(dirs, data, distinct, partOf)
+
+  test("every kernel-table row, local per random partition then global, equals BruteForce") {
+    val prop = Prop.forAllNoShrink(inputs) { in =>
+      val tagged = in.data.zipWithIndex.map { case (v, i) => (i, v.toArray[Any]) }
+      val parts = tagged.zip(in.partOf).groupBy(_._2).values.map(_.map(_._1)).toSeq
+      val dims = in.dirs.zipWithIndex.map { case (dir, i) => (i + 1, dir) }
+      val asRows = in.data.zipWithIndex.map { case (v, i) => Row.fromSeq(i +: v) }
+      val singleDim = !in.distinct && in.dirs.size == 1 && in.dirs.head != Diff
+      Prop.all(kernelTable(singleDim).map { case (name, incomplete, local, global) =>
+        val c = checker(in.dirs, incomplete)
+        val got = global(parts.iterator.flatMap(p => local(p.iterator, c, in.distinct)), c, in.distinct)
+        val expected = BruteForce.skyline(asRows, dims, incomplete, in.distinct)
+        val ok =
+          if (!in.distinct) got.map(_._1).sorted == expected.map(_.getInt(0)).sorted
+          else {
+            // DISTINCT keeps an arbitrary representative per combination
+            val keys = got.map(_._2.toSeq)
+            keys.size == expected.size && keys.toSet == expected.map(r => dims.map(d => r.get(d._1))).toSet
+          }
+        ok :| s"$name: got ${got.map(_._1).sorted}, expected ${expected.map(_.getInt(0)).sorted}"
+      }: _*)
+    }
+    val result = Test.check(
+      Test.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(20230327L)), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+  }
+}
+
+object SkylineAlgorithmsSpec {
+
+  /** A random kernel input: rows of dimension values, each with its partition. */
+  private final case class Input(
+      dirs: Seq[Direction], data: Seq[Seq[Any]], distinct: Boolean, partOf: Seq[Int])
 }

@@ -27,6 +27,10 @@ object TestUtil {
     allPhysicalNodes(df.queryExecution.executedPlan)
   }
 
+  /** "step kernel" of every skyline node, top-down (global above local). */
+  def skylineSteps(nodes: Seq[org.apache.spark.sql.execution.SparkPlan]): Seq[String] =
+    nodes.collect { case s: repro.core.physical.SkylineExec => s"${s.step} ${s.kernelName}" }
+
   /** Normalize a row for multiset comparison: all numerics as Double. */
   def norm(r: Row): Seq[Any] = r.toSeq.map {
     case n: Number => n.doubleValue()

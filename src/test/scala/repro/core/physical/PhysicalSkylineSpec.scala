@@ -1,8 +1,10 @@
 package repro.core.physical
 
 import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import repro.core.{Direction, SkylineConf, TestUtil}
+import repro.reference.BruteForce
 import repro.core.api._
 import repro.data.SkylineData
 
@@ -16,6 +18,9 @@ class PhysicalSkylineSpec extends SparkSpec {
 
   private def nodes(df: org.apache.spark.sql.DataFrame): Seq[SparkPlan] =
     TestUtil.executedNodes(df)
+
+  private def steps(df: org.apache.spark.sql.DataFrame): Seq[String] =
+    TestUtil.skylineSteps(nodes(df))
 
   private def airbnbC = SkylineData.airbnb(spark, 2000, nullFraction = 0.0)
   private def airbnbI = SkylineData.airbnb(spark, 2000, nullFraction = 0.15)
@@ -100,21 +105,18 @@ class PhysicalSkylineSpec extends SparkSpec {
   }
 
   test("auto mode picks the incomplete algorithm for nullable dimensions") {
-    val ns = nodes(airbnbI.skyline(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[IncompleteGlobalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[IncompleteLocalSkylineExec]))
+    assert(steps(airbnbI.skyline(smin("price"), smax("accommodates"))) ==
+      Seq("global allPairsDeferred", "local bnlByNullBitmap"))
   }
 
   test("auto mode picks the complete algorithm for non-nullable dimensions") {
-    val ns = nodes(airbnbC.skyline(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[LocalSkylineExec]))
+    assert(steps(airbnbC.skyline(smin("price"), smax("accommodates"))) ==
+      Seq("global bnl", "local bnl"))
   }
 
   test("COMPLETE keyword forces the complete algorithm on nullable schema") {
-    val ns = nodes(
-      airbnbI.na.drop().skylineComplete(smin("price"), smax("accommodates")))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
+    assert(steps(airbnbI.na.drop().skylineComplete(smin("price"), smax("accommodates"))) ==
+      Seq("global bnl", "local bnl"))
   }
 
   test("COMPLETE on actually-complete-but-nullable data is correct") {
@@ -132,29 +134,26 @@ class PhysicalSkylineSpec extends SparkSpec {
 
   test("distributed-complete plans local + global pair") {
     val run = TestUtil.skylineWith(airbnbC, dims3, "distributed-complete")
-    val global = run.nodes.collectFirst { case g: GlobalSkylineExec => g }
+    val global = run.nodes.collectFirst { case g: SkylineExec if g.step == SkylineStep.Global => g }
     assert(global.nonEmpty)
-    assert(TestUtil.allPhysicalNodes(global.get)
-      .exists(_.isInstanceOf[LocalSkylineExec]),
-      "local skyline must feed the global one")
+    assert(TestUtil.skylineSteps(TestUtil.allPhysicalNodes(global.get)) ==
+      Seq("global bnl", "local bnl"), "local skyline must feed the global one")
   }
 
   test("non-distributed-complete plans global only") {
     val ns = TestUtil.skylineWith(airbnbC, dims3, "non-distributed-complete").nodes
-    assert(!ns.exists(_.isInstanceOf[LocalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
+    assert(TestUtil.skylineSteps(ns) == Seq("global bnl"))
   }
 
   test("distributed-incomplete plans bitmap local + deferred global pair") {
     val ns = TestUtil.skylineWith(airbnbI, dims3, "distributed-incomplete").nodes
-    assert(ns.exists(_.isInstanceOf[IncompleteLocalSkylineExec]))
-    assert(ns.exists(_.isInstanceOf[IncompleteGlobalSkylineExec]))
+    assert(TestUtil.skylineSteps(ns) == Seq("global allPairsDeferred", "local bnlByNullBitmap"))
   }
 
   test("local skyline preserves the number of input partitions") {
     val df = airbnbC.repartition(7)
     val run = TestUtil.skylineWith(df, dims3, "distributed-complete")
-    val local = run.nodes.collectFirst { case l: LocalSkylineExec => l }.get
+    val local = run.nodes.collectFirst { case l: SkylineExec if l.step == SkylineStep.Local => l }.get
     assert(local.execute().getNumPartitions == 7)
   }
 
@@ -224,5 +223,74 @@ class PhysicalSkylineSpec extends SparkSpec {
     val a = TestUtil.skylineWith(base.repartition(16), dims3, "distributed-complete")
     val b = TestUtil.skylineWith(base.coalesce(1), dims3, "distributed-complete")
     TestUtil.assertSameRows(a.rows, b.rows)
+  }
+
+  // ---- EXPLAIN: every row of the kernel table -------------------------
+
+  test("EXPLAIN names the step and kernel of every skyline node") {
+    val firstDim = "[price#"
+    val rows = Seq(
+      ("distributed-complete", airbnbC, dims3, Seq("local bnl", "global bnl")),
+      ("non-distributed-complete", airbnbC, dims3, Seq("global bnl")),
+      ("distributed-incomplete", airbnbI, dims3,
+        Seq("local bnlByNullBitmap", "global allPairsDeferred")),
+      ("auto", airbnbC, dims2.take(1), Seq("local extreme", "global extreme")),
+    )
+    for ((algo, df, d, expected) <- rows) {
+      val cols = d.map { case (n, dir) => SkylineColumn(df(n), dir) }
+      TestUtil.withAlgorithm(spark, algo) {
+        val out = df.skylineOf(distinct = false, complete = false, cols)
+        out.collect()
+        val plan = out.queryExecution.executedPlan.toString
+        for (stepKernel <- expected)
+          assert(plan.contains(s"Skyline $stepKernel $firstDim"), s"$algo: no '$stepKernel' in\n$plan")
+      }
+    }
+    val distinct = airbnbC.skylineDistinct(smin("price"), smax("beds"))
+    assert(distinct.queryExecution.executedPlan.toString
+      .contains(s"Skyline global bnl DISTINCT $firstDim"))
+  }
+
+  // ---- configuration and limits ----------------------------------------
+
+  test("an unknown algorithm value fails and lists the allowed values") {
+    val err = intercept[Exception] {
+      TestUtil.skylineWith(airbnbC, dims2, "distributed-compete")
+    }
+    val msg = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null)
+      .map(_.getMessage).mkString("\n")
+    assert(msg.contains("distributed-compete"), msg)
+    for (allowed <- SkylineConf.Algorithms) assert(msg.contains(allowed), msg)
+  }
+
+  test("33 dimensions: the Appendix A cycle on dims 0, 1 and 32 matches brute force") {
+    import spark.implicits._
+    // a=(1,*,10), b=(3,2,*), c=(*,5,3) on dimensions 0, 1 and 32; the 30
+    // dimensions in between tie. The bitmaps of b (bit 32) and c (bit 0)
+    // alias in a 32-bit bitmap, and one partition then lets b evict c.
+    val cycle = Seq(
+      (Option(1), Option.empty[Int], Option(10)),
+      (Option(3), Option(2), Option.empty[Int]),
+      (Option.empty[Int], Option(5), Option(3)))
+    val df = cycle.toDF("d0", "d1", "d32").select(
+      ($"d0" +: $"d1" +: (2 to 31).map(i => lit(0).as(s"d$i")) :+
+        $"d32"): _*)
+    val dims = df.columns.toSeq.map(_ -> Min)
+    assert(BruteForce.skyline(df.collect().toSeq, TestUtil.dimIndices(df, dims),
+      incomplete = true).isEmpty)
+    val previous = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "1")
+    try {
+      for (algo <- Seq("auto", "distributed-incomplete"))
+        TestUtil.assertMatchesBrute(df, dims, algo, incomplete = true)
+    } finally spark.conf.set("spark.sql.shuffle.partitions", previous)
+  }
+
+  test("more than 64 dimensions are rejected with the limit in the message") {
+    val df = spark.range(1).select((0 until 65).map(i => lit(i).as(s"c$i")): _*)
+    val err = intercept[IllegalArgumentException] {
+      df.skyline(df.columns.toSeq.map(c => smin(c)): _*)
+    }
+    assert(err.getMessage.contains("at most 64 dimensions"), err.getMessage)
   }
 }

@@ -1,26 +1,26 @@
 package repro.core.physical
 
 import repro.SparkSpec
-import repro.core.{Direction, SkylineConf, TestUtil}
+import repro.core.{Direction, TestUtil}
 import repro.core.api._
 import repro.data.SkylineData
 
 /** The single-dimension MIN/MAX optimization of §5.4: "the Pareto optimum in
-  * a single dimension is simply the optimum", realized as scalar extreme +
-  * selection in O(n).
+  * a single dimension is simply the optimum", realized as the `extreme`
+  * kernel in both the local and the global step, O(n).
   */
 class SingleDimSkylineSpec extends SparkSpec {
 
   import Direction._
 
-  private def nodes(df: org.apache.spark.sql.DataFrame) =
-    TestUtil.executedNodes(df)
+  private def steps(df: org.apache.spark.sql.DataFrame): Seq[String] =
+    TestUtil.skylineSteps(TestUtil.executedNodes(df))
 
-  test("1-dim MIN skyline plans SingleDimSkylineExec (auto)") {
+  private val extremeSteps = Seq("global extreme", "local extreme")
+
+  test("1-dim MIN skyline plans the extreme kernel (auto)") {
     val df = SkylineData.airbnb(spark, 500)
-    val ns = nodes(df.skyline(smin("price")))
-    assert(ns.exists(_.isInstanceOf[SingleDimSkylineExec]))
-    assert(!ns.exists(_.isInstanceOf[GlobalSkylineExec]))
+    assert(steps(df.skyline(smin("price"))) == extremeSteps)
   }
 
   test("1-dim optimization also applies in every forced specialized mode (Table 5 dim-1)") {
@@ -28,30 +28,20 @@ class SingleDimSkylineSpec extends SparkSpec {
     for (algo <- Seq("distributed-complete", "non-distributed-complete",
                      "distributed-incomplete")) {
       val run = TestUtil.skylineWith(df, Seq("price" -> Min), algo)
-      assert(run.nodes.exists(_.isInstanceOf[SingleDimSkylineExec]), algo)
+      assert(TestUtil.skylineSteps(run.nodes) == extremeSteps, algo)
     }
-  }
-
-  test("optimization can be disabled by conf") {
-    val df = SkylineData.airbnb(spark, 500)
-    spark.conf.set(SkylineConf.SingleDimOpt, "false")
-    try {
-      val ns = nodes(df.skyline(smin("price")))
-      assert(!ns.exists(_.isInstanceOf[SingleDimSkylineExec]))
-      assert(ns.exists(_.isInstanceOf[GlobalSkylineExec]))
-    } finally spark.conf.unset(SkylineConf.SingleDimOpt)
   }
 
   test("DIFF single dimension does not use the optimization") {
     import spark.implicits._
     val df = Seq((1, 1), (2, 2)).toDF("a", "b")
-    assert(!nodes(df.skyline(sdiff("a"))).exists(_.isInstanceOf[SingleDimSkylineExec]))
+    assert(!steps(df.skyline(sdiff("a"))).exists(_.endsWith("extreme")))
   }
 
   test("DISTINCT single dimension does not use the optimization") {
     import spark.implicits._
     val df = Seq((1, 1), (1, 2)).toDF("a", "b")
-    assert(!nodes(df.skylineDistinct(smin("a"))).exists(_.isInstanceOf[SingleDimSkylineExec]))
+    assert(!steps(df.skylineDistinct(smin("a"))).exists(_.endsWith("extreme")))
   }
 
   test("MIN: returns all tuples attaining the minimum") {
@@ -68,18 +58,14 @@ class SingleDimSkylineSpec extends SparkSpec {
     assert(out == Set("y", "z"))
   }
 
-  test("matches the BNL answer on random data (MIN and MAX)") {
-    val df = SkylineData.storeSales(spark, 2000).cache()
-    try {
-      for ((c, dir) <- Seq("ss_wholesale_cost" -> Min, "ss_quantity" -> Max)) {
-        val fast = df.skyline(SkylineColumn(df(c), dir)).collect().toSeq
-        spark.conf.set(SkylineConf.SingleDimOpt, "false")
-        val slow =
-          try df.skyline(SkylineColumn(df(c), dir)).collect().toSeq
-          finally spark.conf.unset(SkylineConf.SingleDimOpt)
-        TestUtil.assertSameRows(fast, slow, s"$c $dir")
-      }
-    } finally { df.unpersist(); () }
+  test("matches brute force on random data (MIN and MAX)") {
+    val df = SkylineData.storeSales(spark, 2000).repartition(5)
+    for ((c, dir) <- Seq("ss_wholesale_cost" -> Min, "ss_quantity" -> Max);
+         algo <- Seq("auto", "distributed-complete", "non-distributed-complete",
+                     "distributed-incomplete")) {
+      TestUtil.assertMatchesBrute(df, Seq(c -> dir), algo,
+        incomplete = algo == "distributed-incomplete")
+    }
   }
 
   test("incomplete mode: null-dimension tuples are vacuously in the skyline") {
@@ -119,6 +105,6 @@ class SingleDimSkylineSpec extends SparkSpec {
   test("1-dim via SQL string also uses the optimized operator") {
     SkylineData.airbnb(spark, 300).createOrReplaceTempView("sd_air")
     val df = spark.sql("SELECT * FROM sd_air SKYLINE OF price MIN")
-    assert(nodes(df).exists(_.isInstanceOf[SingleDimSkylineExec]))
+    assert(steps(df) == extremeSteps)
   }
 }

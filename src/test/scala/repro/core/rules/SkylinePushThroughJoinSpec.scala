@@ -2,7 +2,7 @@ package repro.core.rules
 
 import org.apache.spark.sql.catalyst.plans.logical.Join
 import repro.SparkSpec
-import repro.core.{SkylineConf, SkylineOperator, TestUtil}
+import repro.core.{SkylineOperator, TestUtil}
 
 /** Optimizer tests for pushing the skyline into a non-reductive join (§5.4). */
 class SkylinePushThroughJoinSpec extends SparkSpec {
@@ -36,22 +36,15 @@ class SkylinePushThroughJoinSpec extends SparkSpec {
       """SELECT * FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
         |SKYLINE OF price MIN, rating MAX""".stripMargin
     val pushed = spark.sql(sql).collect().toSeq
-    spark.conf.set(SkylineConf.JoinPushdown, "false")
+    // Spark's own rule exclusion reaches the injected rule.
+    spark.conf.set("spark.sql.optimizer.excludedRules",
+      "repro.core.rules.SkylinePushThroughJoin")
     val unpushed =
-      try spark.sql(sql).collect().toSeq
-      finally spark.conf.unset(SkylineConf.JoinPushdown)
+      try {
+        assert(!skylineUnderJoin(optimized(sql)))
+        spark.sql(sql).collect().toSeq
+      } finally spark.conf.unset("spark.sql.optimizer.excludedRules")
     TestUtil.assertSameRows(pushed, unpushed)
-  }
-
-  test("pushdown can be disabled by conf") {
-    setup()
-    spark.conf.set(SkylineConf.JoinPushdown, "false")
-    try {
-      val plan = optimized(
-        """SELECT * FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
-          |SKYLINE OF price MIN, rating MAX""".stripMargin)
-      assert(!skylineUnderJoin(plan))
-    } finally spark.conf.unset(SkylineConf.JoinPushdown)
   }
 
   test("INNER join is reductive: no pushdown") {
