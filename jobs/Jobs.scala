@@ -17,7 +17,7 @@ import repro.core.SkylineExtensions
   */
 object JobSession {
   def create(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.ui.enabled", "false")

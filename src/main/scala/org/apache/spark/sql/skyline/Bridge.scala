@@ -3,8 +3,10 @@ package org.apache.spark.sql.skyline
 import org.apache.spark.sql.{Column, DataFrame, SparkSession, classic}
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.internal.SQLConf
 
-/** Access to two `private[sql]` seams the DataFrame API needs.
+/** Access to the `private[sql]` seams the DataFrame API and the typed conf
+  * need.
   *
   * In the paper the skyline code lives inside the Spark source tree and uses
   * these directly; building against stock Spark, this one-file shim in the
@@ -35,4 +37,17 @@ object Bridge {
     */
   def expression(session: SparkSession, col: Column): Expression =
     session.asInstanceOf[classic.SparkSession].expression(col)
+
+  /** Register `key` as a typed SQL conf that takes only `values` (Spark's
+    * typed `ConfigBuilder` is `private[spark]`): `SET` then rejects any other
+    * value and `SET -v` lists the conf with `doc`. A key registers once per
+    * JVM. The returned reader checks the value again, since a value set
+    * before registration bypassed `SET`'s check.
+    */
+  def stringConf(key: String, values: Seq[String], default: String, doc: String)
+      : SparkSession => String = {
+    val entry = SQLConf.buildConf(key).doc(doc).stringConf
+      .checkValues(values.toSet).createWithDefault(default)
+    session => session.asInstanceOf[classic.SparkSession].sessionState.conf.getConf(entry)
+  }
 }

@@ -15,6 +15,7 @@ import repro.core.rules.{ResolveSkyline, SkylinePushThroughJoin}
   */
 class SkylineExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(extensions: SparkSessionExtensions): Unit = {
+    SkylineConf.register()
     extensions.injectParser((_, delegate) => new SkylineSqlParser(delegate))
     extensions.injectResolutionRule(ResolveSkyline)
     extensions.injectOptimizerRule(_ => SkylinePushThroughJoin)

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
+import org.apache.spark.sql.skyline.Bridge
 import repro.core.physical.{SkylineExec, SkylineStep}
 
 /** The conf controlling skyline planning (runtime-settable). */
@@ -16,13 +17,20 @@ object SkylineConf {
   val Algorithms: Seq[String] =
     Seq("auto", "distributed-complete", "non-distributed-complete", "distributed-incomplete")
 
+  private lazy val read: SparkSession => String = Bridge.stringConf(Algorithm, Algorithms,
+    default = "auto",
+    doc = "Skyline algorithm: auto picks the complete or incomplete algorithm as in " +
+      "Listing 8 of the paper (the COMPLETE keyword or non-nullable dimensions select " +
+      "the complete one); the other values force one algorithm.")
+
+  /** Registers the conf with Spark (the first call only): from then on `SET`
+    * rejects a value outside `Algorithms` and `SET -v` documents it.
+    * [[SkylineExtensions]] calls it when a session installs the extensions.
+    */
+  def register(): Unit = { read; () }
+
   /** The conf's value; a value outside `Algorithms` is an error. */
-  def algorithm(session: SparkSession): String = {
-    val value = session.conf.get(Algorithm, "auto")
-    require(Algorithms.contains(value),
-      s"$Algorithm must be one of ${Algorithms.mkString(", ")}; got '$value'")
-    value
-  }
+  def algorithm(session: SparkSession): String = read(session)
 }
 
 /** Physical planning for [[SkylineOperator]] — the algorithm selection of

@@ -1,5 +1,6 @@
 package repro.core.parser
 
+import org.apache.spark.sql.catalyst.parser.{SqlBaseLexer, SqlTokens}
 import repro.core.Direction
 
 /** Raised for malformed SKYLINE OF clauses (missing direction keyword,
@@ -7,23 +8,19 @@ import repro.core.Direction
   */
 class SkylineParseException(message: String) extends IllegalArgumentException(message)
 
-/** Lexer-level splitter for the `SKYLINE OF` clause (Listing 5 grammar).
+/** Splits the `SKYLINE OF` clause (Listing 5 grammar) off a query.
   *
-  * The paper extends Spark's ANTLR grammar in-tree; against stock Spark the
-  * equivalent is to scan the query string for a *top-level* skyline clause
-  * (respecting string literals, quoted identifiers, comments and parenthesis
-  * nesting), cut it out, and hand the remaining — now grammatically plain —
-  * SQL to Spark's own parser. Dimension expressions are parsed by Spark's
-  * expression parser, so arbitrary expressions (arithmetic, function calls,
-  * aggregates) are supported exactly as in the paper.
-  *
-  * Grammar handled (after a HAVING clause, before ORDER BY / LIMIT / set ops):
+  * The paper extends Spark's ANTLR grammar in-tree; against stock Spark we
+  * find a *top-level* clause among the tokens of Spark's own lexer (so quotes,
+  * comments and parentheses are read exactly as Spark reads them), cut it
+  * out, and hand the remaining plain SQL to Spark's parser. Dimension
+  * expressions go to Spark's expression parser. Grammar handled (after
+  * HAVING, before ORDER BY / LIMIT / set operations):
   * {{{
   *   SKYLINE OF [DISTINCT] [COMPLETE] expr (MIN|MAX|DIFF) (',' expr (MIN|MAX|DIFF))*
   * }}}
-  *
-  * Queries without a top-level clause are returned untouched (`None`) after
-  * at most one scan — the "no side effects on other queries" property (§5.9).
+  * Queries without a top-level clause give `None`; queries without the word
+  * `SKYLINE` are not even lexed (§5.9, no side effects on other queries).
   */
 object SkylineClauseExtractor {
 
@@ -38,206 +35,61 @@ object SkylineClauseExtractor {
       complete: Boolean,
       items: Seq[(String, Direction)])
 
-  /** Clause keywords that terminate the dimension list. */
+  /** Tokens that end the dimension list at parenthesis depth 0. */
   private val Terminators =
     Set("ORDER", "LIMIT", "OFFSET", "UNION", "EXCEPT", "INTERSECT", "MINUS",
-        "SORT", "CLUSTER", "DISTRIBUTE", "WINDOW")
+        "SORT", "CLUSTER", "DISTRIBUTE", "WINDOW", ";")
 
   def extract(sql: String): Option[Extraction] = {
     // Fast path: virtually every query lacks the keyword entirely.
     if (!sql.toUpperCase.contains("SKYLINE")) return None
-    val found = findClause(sql, 0)
-    found.map { case (start, distinct, complete, items, end) =>
-      val stripped = sql.substring(0, start) + " " + sql.substring(end)
-      if (findClause(stripped, 0).isDefined) {
-        throw new SkylineParseException(
-          "only one top-level SKYLINE OF clause is allowed per query")
-      }
-      Extraction(stripped, distinct, complete, items)
+    val tokens = SqlTokens(sql)
+    def word(i: Int): String = if (i < tokens.length) tokens(i).getText.toUpperCase else ""
+    def isClause(i: Int): Boolean = word(i) == "SKYLINE" && word(i + 1) == "OF"
+    def nesting(i: Int): Int = tokens(i).getType match {
+      case SqlBaseLexer.LEFT_PAREN  => 1
+      case SqlBaseLexer.RIGHT_PAREN => -1
+      case _                        => 0
     }
-  }
-
-  /** Scan for `SKYLINE OF` at parenthesis depth 0 starting at `from`.
-    * Returns (clauseStart, distinct, complete, items, clauseEnd).
-    */
-  private def findClause(
-      sql: String,
-      from: Int): Option[(Int, Boolean, Boolean, Seq[(String, Direction)], Int)] = {
-    var i = from
-    var depth = 0
-    val n = sql.length
-    while (i < n) {
-      val c = sql.charAt(i)
-      if (c == '\'' || c == '"' || c == '`') i = skipQuoted(sql, i)
-      else if (c == '-' && i + 1 < n && sql.charAt(i + 1) == '-') i = skipLineComment(sql, i)
-      else if (c == '/' && i + 1 < n && sql.charAt(i + 1) == '*') i = skipBlockComment(sql, i)
-      else if (c == '(') { depth += 1; i += 1 }
-      else if (c == ')') { depth -= 1; i += 1 }
-      else if (isWordStart(c)) {
-        val end = wordEnd(sql, i)
-        if (depth == 0 && sql.substring(i, end).equalsIgnoreCase("SKYLINE")) {
-          val afterOf = expectWord(sql, end, "OF")
-          afterOf match {
-            case Some(p) => return Some(parseClauseBody(sql, i, p))
-            case None    => i = end // identifier named "skyline"; not a clause
-          }
-        } else i = end
-      } else i += 1
+    // Token offsets count code points; these are character offsets in `sql`.
+    def begin(i: Int): Int =
+      if (i < tokens.length) sql.offsetByCodePoints(0, tokens(i).getStartIndex) else sql.length
+    def text(from: Int, until: Int): String =
+      sql.substring(begin(from), sql.offsetByCodePoints(0, tokens(until - 1).getStopIndex + 1))
+    def findClause(from: Int): Option[Int] = {
+      var depth = 0
+      (from until tokens.length).find { i => depth += nesting(i); depth == 0 && isClause(i) }
     }
-    None
-  }
-
-  /** Parse flags + dimension items starting right after `OF`. */
-  private def parseClauseBody(
-      sql: String,
-      clauseStart: Int,
-      afterOf: Int): (Int, Boolean, Boolean, Seq[(String, Direction)], Int) = {
-    var i = afterOf
-    var distinct = false
-    var complete = false
-    expectWord(sql, i, "DISTINCT").foreach { p => distinct = true; i = p }
-    expectWord(sql, i, "COMPLETE").foreach { p => complete = true; i = p }
-
-    val items = Vector.newBuilder[(String, Direction)]
-    var itemStart = skipIgnorable(sql, i)
-    var lastWordStart = -1
-    var lastWordEnd = -1
-    var depth = 0
-    var done = false
-    var clauseEnd = sql.length
-    i = itemStart
-
-    def endItem(endAt: Int): Unit = {
-      if (lastWordStart < 0) {
-        throw new SkylineParseException(
-          s"skyline dimension at position $itemStart is empty")
-      }
-      val dirText = sql.substring(lastWordStart, lastWordEnd)
-      val dir = Direction.fromString(dirText).getOrElse {
-        throw new SkylineParseException(
-          s"skyline dimension '${sql.substring(itemStart, endAt).trim}' must end " +
-            "with MIN, MAX or DIFF")
-      }
-      val expr = sql.substring(itemStart, lastWordStart).trim
-      if (expr.isEmpty) {
-        throw new SkylineParseException(
-          s"skyline dimension before '${dirText}' has no expression")
-      }
-      items += ((expr, dir))
+    def item(from: Int, until: Int): (String, Direction) = {
+      if (until == from)
+        throw new SkylineParseException(s"skyline dimension at position ${begin(from)} is empty")
+      val dir = Direction.fromString(word(until - 1)).getOrElse(throw new SkylineParseException(
+        s"skyline dimension '${text(from, until)}' must end with MIN, MAX or DIFF"))
+      if (until - 1 == from) throw new SkylineParseException(
+        s"skyline dimension before '${tokens(from).getText}' has no expression")
+      (text(from, until - 1), dir)
     }
 
-    val n = sql.length
-    while (i < n && !done) {
-      val c = sql.charAt(i)
-      if (c == '\'' || c == '"' || c == '`') i = skipQuoted(sql, i)
-      else if (c == '-' && i + 1 < n && sql.charAt(i + 1) == '-') i = skipLineComment(sql, i)
-      else if (c == '/' && i + 1 < n && sql.charAt(i + 1) == '*') i = skipBlockComment(sql, i)
-      else if (c == '(') { depth += 1; i += 1 }
-      else if (c == ')') {
-        if (depth == 0) { clauseEnd = i; done = true } // end of an enclosing subquery
-        else { depth -= 1; i += 1 }
+    findClause(0).map { start =>
+      val distinct = word(start + 2) == "DISTINCT"
+      val complete = word(start + (if (distinct) 3 else 2)) == "COMPLETE"
+      val first = start + 2 + Seq(distinct, complete).count(identity)
+      // The clause ends at an unmatched ')' (end of an enclosing subquery),
+      // a terminator or a second clause, all at depth 0, or at the end.
+      var (end, depth) = (first, 0)
+      val commas = Vector.newBuilder[Int]
+      while (end < tokens.length &&
+          !(depth == 0 && (nesting(end) < 0 || Terminators(word(end)) || isClause(end)))) {
+        depth += nesting(end)
+        if (depth == 0 && tokens(end).getType == SqlBaseLexer.COMMA) commas += end
+        end += 1
       }
-      else if (c == ',' && depth == 0) {
-        endItem(i)
-        i += 1
-        itemStart = skipIgnorable(sql, i)
-        i = itemStart
-        lastWordStart = -1; lastWordEnd = -1
-      }
-      else if (isWordStart(c)) {
-        val end = wordEnd(sql, i)
-        val w = sql.substring(i, end).toUpperCase
-        if (depth == 0 &&
-            (Terminators.contains(w) ||
-              (w == "SKYLINE" && expectWord(sql, end, "OF").isDefined))) {
-          clauseEnd = i; done = true
-        }
-        else {
-          if (depth == 0) { lastWordStart = i; lastWordEnd = end }
-          i = end
-        }
-      } else i += 1
-    }
-    if (!done) clauseEnd = n
-    endItem(clauseEnd)
-    (clauseStart, distinct, complete, items.result(), clauseEnd)
-  }
-
-  // ---- low-level scanning helpers -------------------------------------
-
-  private def isWordStart(c: Char): Boolean = c.isLetter || c == '_'
-  private def isWordChar(c: Char): Boolean = c.isLetterOrDigit || c == '_'
-
-  private def wordEnd(sql: String, start: Int): Int = {
-    var i = start
-    while (i < sql.length && isWordChar(sql.charAt(i))) i += 1
-    i
-  }
-
-  /** Skip a quoted region starting at `start` (', ", or `); doubled quote
-    * chars and backslash escapes are honored.
-    */
-  private def skipQuoted(sql: String, start: Int): Int = {
-    val q = sql.charAt(start)
-    var i = start + 1
-    val n = sql.length
-    while (i < n) {
-      val c = sql.charAt(i)
-      if (c == '\\' && q != '`' && i + 1 < n) i += 2
-      else if (c == q) {
-        if (i + 1 < n && sql.charAt(i + 1) == q) i += 2 // doubled-quote escape
-        else return i + 1
-      } else i += 1
-    }
-    n
-  }
-
-  private def skipLineComment(sql: String, start: Int): Int = {
-    var i = start + 2
-    while (i < sql.length && sql.charAt(i) != '\n') i += 1
-    i
-  }
-
-  /** Bracketed comments nest in Spark SQL. */
-  private def skipBlockComment(sql: String, start: Int): Int = {
-    var i = start + 2
-    var level = 1
-    val n = sql.length
-    while (i < n && level > 0) {
-      if (i + 1 < n && sql.charAt(i) == '/' && sql.charAt(i + 1) == '*') { level += 1; i += 2 }
-      else if (i + 1 < n && sql.charAt(i) == '*' && sql.charAt(i + 1) == '/') { level -= 1; i += 2 }
-      else i += 1
-    }
-    i
-  }
-
-  /** Skip whitespace and comments. */
-  private def skipIgnorable(sql: String, start: Int): Int = {
-    var i = start
-    val n = sql.length
-    var moved = true
-    while (moved && i < n) {
-      moved = false
-      while (i < n && sql.charAt(i).isWhitespace) { i += 1; moved = true }
-      if (i + 1 < n && sql.charAt(i) == '-' && sql.charAt(i + 1) == '-') {
-        i = skipLineComment(sql, i); moved = true
-      }
-      if (i + 1 < n && sql.charAt(i) == '/' && sql.charAt(i + 1) == '*') {
-        i = skipBlockComment(sql, i); moved = true
-      }
-    }
-    i
-  }
-
-  /** If the next word (ignoring whitespace/comments) equals `word`
-    * case-insensitively, return the position just after it.
-    */
-  private def expectWord(sql: String, start: Int, word: String): Option[Int] = {
-    val i = skipIgnorable(sql, start)
-    if (i >= sql.length || !isWordStart(sql.charAt(i))) None
-    else {
-      val end = wordEnd(sql, i)
-      if (sql.substring(i, end).equalsIgnoreCase(word)) Some(end) else None
+      val bounds = (first - 1) +: commas.result() :+ end
+      val items = bounds.zip(bounds.tail).map { case (a, b) => item(a + 1, b) }
+      if (findClause(end).isDefined)
+        throw new SkylineParseException("only one top-level SKYLINE OF clause is allowed per query")
+      Extraction(sql.substring(0, begin(start)) + " " + sql.substring(begin(end)),
+        distinct, complete, items)
     }
   }
 }

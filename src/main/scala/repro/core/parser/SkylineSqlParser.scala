@@ -2,7 +2,7 @@ package repro.core.parser
 
 import org.apache.spark.sql.catalyst.{FunctionIdentifier, TableIdentifier}
 import org.apache.spark.sql.catalyst.expressions.Expression
-import org.apache.spark.sql.catalyst.parser.ParserInterface
+import org.apache.spark.sql.catalyst.parser.{ParameterContext, ParserInterface}
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.types.{DataType, StructType}
 import repro.core.{SkylineDimension, SkylineOperator}
@@ -23,6 +23,10 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
   override def parsePlan(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parsePlan)
 
   override def parseQuery(sqlText: String): LogicalPlan = rewrite(sqlText, delegate.parseQuery)
+
+  // Spark's default implementation would drop the parameters.
+  override def parsePlanWithParameters(sqlText: String, ctx: ParameterContext): LogicalPlan =
+    rewrite(sqlText, delegate.parsePlanWithParameters(_, ctx))
 
   private def rewrite(sqlText: String, parse: String => LogicalPlan): LogicalPlan =
     SkylineClauseExtractor.extract(sqlText) match {

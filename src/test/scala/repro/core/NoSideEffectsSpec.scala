@@ -82,4 +82,18 @@ class NoSideEffectsSpec extends SparkSpec {
     Seq((1, 2)).toDF("skyline", "x").createOrReplaceTempView("nse_s")
     assert(spark.sql("SELECT skyline FROM nse_s").collect().head.getInt(0) == 1)
   }
+
+  test("named parameter markers are bound") {
+    import spark.implicits._
+    Seq(7, 8, 9).toDF("a").createOrReplaceTempView("nse_p")
+    val out = spark.sql("SELECT a FROM nse_p WHERE a > :x", Map("x" -> 7))
+    assert(out.collect().map(_.getInt(0)).sorted.toSeq == Seq(8, 9))
+  }
+
+  test("positional parameter markers are bound") {
+    import spark.implicits._
+    Seq(7, 8, 9).toDF("a").createOrReplaceTempView("nse_p")
+    val out = spark.sql("SELECT a FROM nse_p WHERE a > ?", Array(7))
+    assert(out.collect().map(_.getInt(0)).sorted.toSeq == Seq(8, 9))
+  }
 }

@@ -163,4 +163,35 @@ class SkylineClauseExtractorSpec extends AnyFunSuite {
     val e = ex("SELECT * FROM t SKYLINE OF CASE WHEN a > 0 THEN a ELSE 0 END MIN").get
     assert(e.items == Seq("CASE WHEN a > 0 THEN a ELSE 0 END" -> Min))
   }
+
+  // ---- cases where only Spark's own lexer gets the token boundaries right ----
+
+  test("raw string literal ending in a backslash does not hide the clause") {
+    val e = ex("SELECT r'C:\\' AS p, a FROM t SKYLINE OF a MIN").get
+    assert(e.items == Seq("a" -> Min))
+    assert(e.stripped.trim == "SELECT r'C:\\' AS p, a FROM t")
+  }
+
+  test("line comment ending in a backslash continues onto the next line") {
+    assert(ex("SELECT a FROM t -- no skyline here \\\nSKYLINE OF a").isEmpty)
+  }
+
+  test("trailing semicolon ends the clause and stays in the query") {
+    val e = ex("SELECT * FROM t SKYLINE OF a MIN;").get
+    assert(e.items == Seq("a" -> Min))
+    assert(e.stripped.replaceAll("\\s+", " ").trim == "SELECT * FROM t ;")
+  }
+
+  test("characters outside the BMP keep dimension text and the cut exact") {
+    val e = ex("SELECT '\uD83D\uDE00' AS e, a FROM t SKYLINE OF a + length('\uD83D\uDE00') MIN").get
+    assert(e.items == Seq("a + length('\uD83D\uDE00')" -> Min))
+    assert(e.stripped.trim == "SELECT '\uD83D\uDE00' AS e, a FROM t")
+  }
+
+  test("error positions are character offsets") {
+    val err = intercept[SkylineParseException] {
+      ex("SELECT '\uD83D\uDE00' FROM t SKYLINE OF a MIN, , b MAX")
+    }
+    assert(err.getMessage.contains("position 37"), err.getMessage)
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core.parser
 
 import org.apache.spark.sql.catalyst.plans.logical.{GlobalLimit, LogicalPlan, Sort}
+import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.core.{Direction, SkylineOperator}
 
@@ -95,5 +96,30 @@ class SkylineSqlParserSpec extends SparkSpec {
     assert(nodes.head.child.collectFirst {
       case a: org.apache.spark.sql.catalyst.plans.logical.Aggregate => a
     }.nonEmpty)
+  }
+
+  test("raw string ending in a backslash: one SkylineOperator through spark.sql") {
+    import spark.implicits._
+    Seq(3, 1, 2).toDF("a").createOrReplaceTempView("sp_raw")
+    val df = spark.sql("SELECT r'C:\\' AS p, a FROM sp_raw SKYLINE OF a MIN")
+    assert(skylineNodes(df.queryExecution.logical).size == 1)
+    assert(df.collect().toSeq == Seq(Row("C:\\", 1)))
+  }
+
+  test("SKYLINE OF in a continued line comment runs as stock Spark would") {
+    import spark.implicits._
+    Seq(3, 1, 2).toDF("a").createOrReplaceTempView("sp_comment")
+    val df = spark.sql("SELECT a FROM sp_comment -- no skyline here \\\nSKYLINE OF a")
+    assert(skylineNodes(df.queryExecution.logical).isEmpty)
+    assert(df.collect().map(_.getInt(0)).sorted.toSeq == Seq(1, 2, 3))
+  }
+
+  test("a parameter marker in WHERE binds in a skyline query like its literal") {
+    import spark.implicits._
+    Seq((1, 5), (2, 4), (3, 3), (4, 5)).toDF("a", "b").createOrReplaceTempView("sp_param")
+    val sql = "SELECT a, b FROM sp_param WHERE a > %s SKYLINE OF a MIN, b MIN"
+    val bound = spark.sql(sql.format(":x"), Map("x" -> 1)).collect().toSet
+    assert(bound == spark.sql(sql.format("1")).collect().toSet)
+    assert(bound == Set(Row(2, 4), Row(3, 3)))
   }
 }

@@ -263,6 +263,18 @@ class PhysicalSkylineSpec extends SparkSpec {
     for (allowed <- SkylineConf.Algorithms) assert(msg.contains(allowed), msg)
   }
 
+  test("a bad algorithm value fails at SET, and SET -v documents the conf") {
+    val err = intercept[IllegalArgumentException] {
+      spark.sql(s"SET ${SkylineConf.Algorithm}=bogus")
+    }
+    assert(err.getMessage.contains("bogus"), err.getMessage)
+    assert(SkylineConf.algorithm(spark) == "auto")
+    val documented = spark.sql("SET -v").collect()
+      .filter(_.getString(0) == SkylineConf.Algorithm)
+    assert(documented.map(_.getString(2)).exists(_.contains("Listing 8")),
+      documented.mkString)
+  }
+
   test("33 dimensions: the Appendix A cycle on dims 0, 1 and 32 matches brute force") {
     import spark.implicits._
     // a=(1,*,10), b=(3,2,*), c=(*,5,3) on dimensions 0, 1 and 32; the 30
