@@ -1,12 +1,13 @@
 package org.apache.spark.sql.skyline
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession, classic}
+import org.apache.spark.sql.catalyst.analysis.Analyzer
 import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.internal.SQLConf
 
-/** Access to the `private[sql]` seams the DataFrame API and the typed conf
-  * need.
+/** Access to the `private[sql]` seams the DataFrame API, the typed conf and
+  * the analyzer rule need.
   *
   * In the paper the skyline code lives inside the Spark source tree and uses
   * these directly; building against stock Spark, this one-file shim in the
@@ -37,6 +38,12 @@ object Bridge {
     */
   def expression(session: SparkSession, col: Column): Expression =
     session.asInstanceOf[classic.SparkSession].expression(col)
+
+  /** The session's analyzer, whose HAVING resolution
+    * (`ResolveAggregateFunctions`) the skyline analyzer rule reuses.
+    */
+  def analyzer(session: SparkSession): Analyzer =
+    session.asInstanceOf[classic.SparkSession].sessionState.analyzer
 
   /** Register `key` as a typed SQL conf that takes only `values` (Spark's
     * typed `ConfigBuilder` is `private[spark]`): `SET` then rejects any other

@@ -49,37 +49,16 @@ final class DominanceChecker(
     else if (b == null) 1
     else orderings(i).compare(a, b)
 
-  /** Does tuple `a` dominate tuple `b` (a < b in the paper's notation)? */
-  def dominates(a: Array[Any], b: Array[Any]): Boolean =
-    if (incomplete) dominatesIncomplete(a, b) else dominatesComplete(a, b)
-
-  private def dominatesComplete(a: Array[Any], b: Array[Any]): Boolean = {
-    var strict = false
-    var i = 0
-    while (i < arity) {
-      val c = cmp(i, a(i), b(i))
-      dirs(i) match {
-        case Direction.Min =>
-          if (c > 0) return false
-          if (c < 0) strict = true
-        case Direction.Max =>
-          if (c < 0) return false
-          if (c > 0) strict = true
-        case Direction.Diff =>
-          if (c != 0) return false
-      }
-      i += 1
-    }
-    strict
-  }
-
-  private def dominatesIncomplete(a: Array[Any], b: Array[Any]): Boolean = {
+  /** Does tuple `a` dominate tuple `b` (a < b in the paper's notation)?
+    * In incomplete mode a dimension where either value is null is skipped.
+    */
+  def dominates(a: Array[Any], b: Array[Any]): Boolean = {
     var strict = false
     var i = 0
     while (i < arity) {
       val av = a(i); val bv = b(i)
-      if (av != null && bv != null) {
-        val c = orderings(i).compare(av, bv)
+      if (!incomplete || (av != null && bv != null)) {
+        val c = cmp(i, av, bv)
         dirs(i) match {
           case Direction.Min =>
             if (c > 0) return false

@@ -46,16 +46,8 @@ class SkylineSqlParser(delegate: ParserInterface) extends ParserInterface {
       distinct: Boolean,
       complete: Boolean,
       dims: Seq[SkylineDimension]): LogicalPlan = plan match {
-    case s: Sort =>
-      s.withNewChildren(Seq(insertSkyline(s.child, distinct, complete, dims)))
-    case l: GlobalLimit =>
-      l.withNewChildren(Seq(insertSkyline(l.child, distinct, complete, dims)))
-    case l: LocalLimit =>
-      l.withNewChildren(Seq(insertSkyline(l.child, distinct, complete, dims)))
-    case o: Offset =>
-      o.withNewChildren(Seq(insertSkyline(o.child, distinct, complete, dims)))
-    case w: UnresolvedWith =>
-      w.copy(child = insertSkyline(w.child, distinct, complete, dims))
+    case p @ (_: Sort | _: GlobalLimit | _: LocalLimit | _: Offset | _: UnresolvedWith) =>
+      p.withNewChildren(Seq(insertSkyline(p.children.head, distinct, complete, dims)))
     case other =>
       SkylineOperator(distinct, complete, dims, other)
   }

@@ -1,150 +1,95 @@
 package repro.core.rules
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.analysis.UnresolvedAttribute
-import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute, Expression, NamedExpression}
+import org.apache.spark.sql.catalyst.analysis.ColumnResolutionHelper
+import org.apache.spark.sql.catalyst.expressions.NamedExpression
+import org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression
 import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Filter, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
-import repro.core.{SkylineDimension, SkylineOperator}
+import org.apache.spark.sql.skyline.Bridge
+import repro.core.SkylineOperator
 
 /** Analyzer extension for skyline queries (§5.3, Listings 6 and 7).
   *
-  * Most skyline dimensions are plain expressions over the child's output and
-  * are resolved by Spark's generic expression resolution — the reuse the
-  * paper highlights. This rule covers the two cases that need node-specific
-  * help:
+  * Dimensions over the child's output are resolved by Spark's generic
+  * expression resolution. The two cases the paper adds are resolved by the
+  * same Catalyst code that resolves ORDER BY and HAVING:
   *
   *  1. **Dimensions missing from the projection** (Listing 6):
-  *     `SELECT price FROM hotels SKYLINE OF price MIN, rating MAX` — `rating`
-  *     is not in the child Project. The missing attributes are appended to
-  *     the projection, the skyline is computed over the widened child, and a
-  *     final Project restores the original output.
+  *     `SELECT price FROM hotels SKYLINE OF price MIN, rating MAX`.
+  *     `resolveExprsAndAddMissingAttrs` resolves `rating` below the Project
+  *     and adds it to the projection, as for `ORDER BY rating`.
   *
   *  2. **Aggregate dimensions** (Listing 7):
-  *     `SELECT cat, sum(price) AS s FROM t GROUP BY cat SKYLINE OF count(*) MAX`
-  *     — the aggregate the skyline needs is not produced by the child
-  *     Aggregate. The dimension expression is injected into the Aggregate's
-  *     aggregate list under a fresh internal alias, the dimension is rewired
-  *     to that alias, and a final Project drops the helper column. A HAVING
-  *     clause (a Filter between skyline and Aggregate) is preserved.
+  *     `SELECT cat, sum(price) AS s FROM t GROUP BY cat SKYLINE OF count(*) MAX`.
+  *     `resolveColWithAgg` and `ResolveAggregateFunctions` resolve the
+  *     dimension against the Aggregate below, through a HAVING Filter and
+  *     Project, as for `HAVING count(*) > 1`. An aggregate the Aggregate does
+  *     not compute yet is appended to it and passed up through the HAVING
+  *     nodes; one it already computes is reused.
   *
+  * When the child was widened, a Project on top restores its output.
   * Installed via `injectResolutionRule`, so it iterates to fixed point with
   * the built-in resolution rules.
   */
-case class ResolveSkyline(session: SparkSession) extends Rule[LogicalPlan] {
+case class ResolveSkyline(session: SparkSession)
+    extends Rule[LogicalPlan] with ColumnResolutionHelper {
+
+  private lazy val analyzer = Bridge.analyzer(session)
+
+  // `CatalogManager` is `private[sql]`, so the type is left to inference.
+  override def catalogManager = analyzer.catalogManager
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.resolveOperatorsUp {
     case sky: SkylineOperator if sky.childrenResolved && needsRewrite(sky) =>
-      sky.child match {
-        case agg: Aggregate =>
-          rewriteAggregate(sky, agg, (newAgg, _) => newAgg)
-        case f @ Filter(_, agg: Aggregate) =>
-          rewriteAggregate(sky, agg, (newAgg, _) => f.copy(child = newAgg))
-        // HAVING resolution wraps the Filter in a Project that drops helper
-        // aggregates; widen that Project so our helpers pass through.
-        case p @ Project(_, f @ Filter(_, agg: Aggregate)) =>
-          rewriteAggregate(sky, agg, (newAgg, helpers) =>
-            p.copy(projectList = p.projectList ++ helpers,
-              child = f.copy(child = newAgg)))
-        case p @ Project(_, agg: Aggregate) if needsAggregateHelp(sky) =>
-          rewriteAggregate(sky, agg, (newAgg, helpers) =>
-            p.copy(projectList = p.projectList ++ helpers, child = newAgg))
-        case p: Project =>
-          rewriteProject(sky, p)
-        case _ => sky
+      val (dims, child) =
+        resolveExprsAndAddMissingAttrs(sky.dimensions.map(_.child), sky.child)
+      val (newDims, newChild) = aggregateBelow(child) match {
+        case Some(agg) =>
+          val withAgg = dims.map(resolveColWithAgg(_, agg))
+          // Keep the partial resolution, e.g. `min(reviews)` waits for
+          // ResolveFunctions once `reviews` resolved below the Aggregate.
+          if (!withAgg.forall(_.resolved)) (withAgg, child)
+          else {
+            val (extra, resolved) =
+              analyzer.ResolveAggregateFunctions.resolveExprsWithAggregate(withAgg, agg)
+            (resolved, if (extra.isEmpty) child else addAggregates(child, extra))
+          }
+        case None => (dims, child)
       }
+      val newSky = sky.copy(
+        dimensions = sky.dimensions.zip(newDims).map { case (d, e) => d.copy(child = e) },
+        child = newChild)
+      if (newChild.output == sky.child.output) newSky else Project(sky.child.output, newSky)
   }
 
   /** Unresolved dimensions need help; so do dimensions holding a bare
-    * aggregate function (e.g. `SKYLINE OF count(1) MAX` — fully resolved as
-    * an expression, yet only evaluable inside the child Aggregate).
+    * aggregate function (e.g. `SKYLINE OF count(1) MAX`), which are resolved
+    * as expressions yet only evaluable inside the child Aggregate.
     */
   private def needsRewrite(sky: SkylineOperator): Boolean =
-    !sky.resolved || sky.dimensions.exists(containsAggregate)
+    !sky.resolved || sky.dimensions.exists(_.child.exists(_.isInstanceOf[AggregateExpression]))
 
-  private def containsAggregate(dim: SkylineDimension): Boolean =
-    dim.child.exists(_.isInstanceOf[
-      org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression])
-
-  /** True when some dimension needs the aggregate-injection treatment (as
-    * opposed to plain missing-projection handling).
+  /** The Aggregate of a grouped query, seen through HAVING's Filter and the
+    * Project that HAVING resolution may put above it.
     */
-  private def needsAggregateHelp(sky: SkylineOperator): Boolean =
-    sky.dimensions.exists(d => containsAggregate(d) ||
-      d.child.exists(_.isInstanceOf[org.apache.spark.sql.catalyst.analysis.UnresolvedFunction]))
-
-  /** An expression usable inside a dimension from a `plan.resolve` result. */
-  private def stripAlias(ne: NamedExpression): Expression = ne match {
-    case a: Alias => a.child
-    case other    => other
+  private def aggregateBelow(plan: LogicalPlan): Option[Aggregate] = plan match {
+    case agg: Aggregate => Some(agg)
+    case Filter(_, child) => aggregateBelow(child)
+    case Project(_, child) => aggregateBelow(child)
+    case _ => None
   }
 
-  /** Resolve the unresolved attributes of `expr` against `plans`, first
-    * match wins.
+  /** Append `extra` to the Aggregate under `plan` and pass the new columns
+    * up through the Filters and Projects above it.
     */
-  private def resolveAgainst(expr: Expression, plans: Seq[LogicalPlan]): Expression =
-    expr.transformUp { case u: UnresolvedAttribute =>
-      plans.view
-        .flatMap(_.resolve(u.nameParts, conf.resolver))
-        .headOption
-        .map(stripAlias)
-        .getOrElse(u)
+  private def addAggregates(plan: LogicalPlan, extra: Seq[NamedExpression]): LogicalPlan =
+    plan match {
+      case agg: Aggregate =>
+        agg.copy(aggregateExpressions = agg.aggregateExpressions ++ extra)
+      case f: Filter => f.copy(child = addAggregates(f.child, extra))
+      case p: Project => p.copy(
+        projectList = p.projectList ++ extra.map(_.toAttribute),
+        child = addAggregates(p.child, extra))
     }
-
-  /** Listing 6: allow dimensions not present in the projection. */
-  private def rewriteProject(sky: SkylineOperator, p: Project): LogicalPlan = {
-    val newDims = sky.dimensions.map { dim =>
-      if (dim.child.resolved) dim
-      else dim.copy(child = resolveAgainst(dim.child, Seq(p, p.child)))
-    }
-    // Attributes the dimensions need that the projection does not provide.
-    val missing: Seq[Attribute] = newDims
-      .flatMap(_.child.collect {
-        case a: Attribute if !p.outputSet.contains(a) && p.child.outputSet.contains(a) => a
-      })
-      .distinct
-    if (missing.isEmpty) {
-      if (newDims == sky.dimensions) sky else sky.copy(dimensions = newDims)
-    } else {
-      val widened = p.copy(projectList = p.projectList ++ missing)
-      Project(p.output, sky.copy(dimensions = newDims, child = widened))
-    }
-  }
-
-  /** Listing 7: propagate aggregate dimensions into the child Aggregate. */
-  private def rewriteAggregate(
-      sky: SkylineOperator,
-      agg: Aggregate,
-      rebuild: (Aggregate, Seq[NamedExpression]) => LogicalPlan): LogicalPlan = {
-    // First give each unresolved dimension a chance to resolve against the
-    // aggregate output (covers helper aliases injected on an earlier pass).
-    val attempted = sky.dimensions.map { dim =>
-      if (dim.child.resolved) dim
-      else dim.copy(child = resolveAgainst(dim.child, Seq(sky.child)))
-    }
-    val pending = attempted.zipWithIndex.filter { case (dim, _) =>
-      !dim.child.resolved || containsAggregate(dim)
-    }
-    if (pending.isEmpty) {
-      if (attempted == sky.dimensions) sky else sky.copy(dimensions = attempted)
-    } else {
-      // Inject each pending dimension expression into the aggregate under a
-      // fresh, collision-free alias; the analyzer resolves it there (adding
-      // "missing aggregates", grouping checks, error reporting) on the next
-      // fixed-point iteration.
-      val aliases = pending.map { case (dim, _) =>
-        val id = NamedExpression.newExprId
-        Alias(dim.child, s"_skyline_dim_${id.id}")(exprId = id)
-      }
-      val rewired = attempted.toArray
-      pending.zip(aliases).foreach { case ((dim, i), alias) =>
-        rewired(i) = dim.copy(child = alias.toAttribute)
-      }
-      val widened = agg.copy(aggregateExpressions = agg.aggregateExpressions ++ aliases)
-      val helperRefs = aliases.map(_.toAttribute)
-      Project(
-        sky.child.output,
-        sky.copy(dimensions = rewired.toSeq, child = rebuild(widened, helperRefs)))
-    }
-  }
 }

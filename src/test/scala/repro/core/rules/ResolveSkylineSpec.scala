@@ -1,5 +1,7 @@
 package repro.core.rules
 
+import org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import repro.SparkSpec
 import repro.core.{SkylineOperator, TestUtil}
 import repro.data.SkylineData
@@ -161,6 +163,32 @@ class ResolveSkylineSpec extends SparkSpec {
         """SELECT rating, count(1) AS n FROM rs_hotels GROUP BY rating
           |HAVING count(1) > 0 ORDER BY sum(price)""".stripMargin)
       assert(out.collect().length == 4)
+    }
+  }
+
+  test("an aggregate dimension equal to a SELECT aggregate is computed once") {
+    withHotels {
+      val out = spark.sql(
+        """SELECT rating, count(1) AS n FROM rs_hotels GROUP BY rating
+          |SKYLINE OF count(1) MAX""".stripMargin)
+      val agg = out.queryExecution.analyzed.collectFirst { case a: Aggregate => a }.get
+      val aggregates = agg.aggregateExpressions.flatMap(_.collect {
+        case ae: AggregateExpression => ae
+      })
+      assert(aggregates.size == 1, s"count(1) is computed more than once:\n$agg")
+      assert(out.columns.toSeq == Seq("rating", "n"))
+      assert(out.collect().map(_.getInt(0)).toSet == Set(9))
+    }
+  }
+
+  test("a grouped column dropped by a Project above the Aggregate resolves (DataFrame API)") {
+    import repro.core.api._
+    withHotels {
+      val out = spark.table("rs_hotels").groupBy("rating").count().select("count")
+        .skyline(smax("rating"), smin("count"))
+      assert(out.columns.toSeq == Seq("count"))
+      // (rating, count): (9,2) and (8,1) are incomparable, (8,1) dominates (7,1), (6,1)
+      assert(out.collect().map(_.getLong(0)).sorted.toSeq == Seq(1L, 2L))
     }
   }
 }

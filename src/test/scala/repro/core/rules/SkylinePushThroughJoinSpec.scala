@@ -104,4 +104,22 @@ class SkylinePushThroughJoinSpec extends SparkSpec {
       joined.collect().toSeq, dimIdx, incomplete = false)
     TestUtil.assertSameRows(got, expected)
   }
+
+  test("an aliased SELECT-list dimension is pushed into the preserved side") {
+    setup()
+    val sql =
+      """SELECT l.lid, l.price * 2 AS p2, l.rating, r.tag
+        |FROM jt_left l LEFT OUTER JOIN jt_right r ON l.lid = r.lid
+        |SKYLINE OF p2 MIN, rating MAX""".stripMargin
+    assert(skylineUnderJoin(optimized(sql)), s"expected skyline under join:\n${optimized(sql)}")
+    val pushed = spark.sql(sql).collect().toSeq
+    spark.conf.set("spark.sql.optimizer.excludedRules",
+      "repro.core.rules.SkylinePushThroughJoin")
+    val unpushed =
+      try {
+        assert(!skylineUnderJoin(optimized(sql)))
+        spark.sql(sql).collect().toSeq
+      } finally spark.conf.unset("spark.sql.optimizer.excludedRules")
+    TestUtil.assertSameRows(pushed, unpushed)
+  }
 }
