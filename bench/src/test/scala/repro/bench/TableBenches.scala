@@ -1,133 +1,26 @@
 package repro.bench
 
 import repro.SparkSpec
-import BenchUtil.BenchTable
+import BenchUtil.Cell
 
-/** Shared assertions for the per-table benchmark suites.
+/** The evaluation: one test per entry of [[Tables.all]].
   *
   * The benches reproduce the paper's result tables (Appendix D); numbers go
-  * to stdout (captured in bench_output.txt) and bench/results/, and are
-  * transcribed into EXPERIMENTS.md. Assertions stay qualitative — wall-clock
-  * ratios on a laptop jitter — but the load-bearing *shape* facts from the
-  * paper are checked where they are robust.
+  * to stdout and bench/results/, and are transcribed into EXPERIMENTS.md.
+  * Assertions stay qualitative — wall-clock ratios on a laptop jitter — but
+  * the load-bearing *shape* facts from the paper are checked where they are
+  * robust (each entry's `shape`).
   */
-trait BenchSuite extends SparkSpec {
+class TableBenches extends SparkSpec {
 
-  /** Run, report, and sanity-check one table. */
-  def check(table: BenchTable, file: String): BenchTable = {
-    table.report(file)
-    assert(table.rows.nonEmpty && table.colLabels.nonEmpty)
-    // every algorithm produced at least one finished cell
-    table.rows.foreach { case (name, cells) =>
-      assert(cells.exists(!_.timedOut), s"$name timed out everywhere")
+  for (table <- Tables.all) test(table.name) {
+    val result = table.run(spark)
+    result.report(s"${table.id}.md")
+    assert(result.rows.nonEmpty && result.colLabels.nonEmpty)
+    result.rows.foreach { case (algo, cells) =>
+      assert(!cells.exists(_.isInstanceOf[Cell.Failed]), s"$algo failed in a cell")
+      assert(cells.exists(_.seconds.isDefined), s"$algo timed out everywhere")
     }
-    table
-  }
-
-  /** Mean seconds of finished cells for one algorithm row. */
-  def meanSec(table: BenchTable, algo: String): Option[Double] = {
-    val times = table.rows.find(_._1 == algo).get._2.flatMap(_.seconds)
-    if (times.isEmpty) None else Some(times.sum / times.size)
-  }
-
-  /** The paper's headline claim: specialized algorithms (significantly)
-    * outperform the reference rewrite; timeouts count as max penalty.
-    */
-  def assertSpecializedBeatsReference(table: BenchTable, specialized: String): Unit = {
-    val ref = table.rows.find(_._1 == "reference").get._2
-    val spec = table.rows.find(_._1 == specialized).get._2
-    val pairs = ref.zip(spec)
-    // compare summed runtime, charging timeouts at the timeout limit
-    val to = Tables.timeoutSec.toDouble
-    val refSum = pairs.map(_._1.seconds.getOrElse(to)).sum
-    val specSum = pairs.map(_._2.seconds.getOrElse(to)).sum
-    assert(specSum <= refSum,
-      s"$specialized ($specSum s) should not be slower in aggregate than reference ($refSum s)")
-  }
-}
-
-class Table3Bench extends BenchSuite {
-  test("Table 3: dims vs time, complete Airbnb") {
-    val t = check(Tables.table3(spark), "table3.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-  }
-}
-
-class Table4Bench extends BenchSuite {
-  test("Table 4: dims vs time, incomplete Airbnb") {
-    val t = check(Tables.table4(spark), "table4.md")
-    assertSpecializedBeatsReference(t, "distributed incomplete")
-  }
-}
-
-class Table5Bench extends BenchSuite {
-  test("Table 5: dims vs time, complete store_sales") {
-    val t = check(Tables.table5(spark), "table5.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-  }
-}
-
-class Table6Bench extends BenchSuite {
-  test("Table 6: dims vs time, incomplete store_sales") {
-    check(Tables.table6(spark), "table6.md")
-    // paper Table 6 contains a rare case where the reference wins a cell;
-    // no strict ordering asserted here
-  }
-}
-
-class Table7Bench extends BenchSuite {
-  test("Table 7: tuples vs time, complete store_sales") {
-    val t = check(Tables.table7(spark), "table7.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-    // execution time grows with the dataset for every algorithm
-    t.rows.foreach { case (_, cells) =>
-      val done = cells.flatMap(_.seconds)
-      if (done.size >= 2) assert(done.last >= done.head * 0.5)
-    }
-  }
-}
-
-class Table8Bench extends BenchSuite {
-  test("Table 8: tuples vs time, incomplete store_sales") {
-    val t = check(Tables.table8(spark), "table8.md")
-    assertSpecializedBeatsReference(t, "distributed incomplete")
-  }
-}
-
-class Table9Bench extends BenchSuite {
-  test("Table 9: executors vs time, complete Airbnb") {
-    val t = check(Tables.table9(spark), "table9.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-  }
-}
-
-class Table10Bench extends BenchSuite {
-  test("Table 10: executors vs time, incomplete Airbnb") {
-    val t = check(Tables.table10(spark), "table10.md")
-    assertSpecializedBeatsReference(t, "distributed incomplete")
-  }
-}
-
-class Table11Bench extends BenchSuite {
-  test("Table 11: executors vs time, complete store_sales (largest)") {
-    val t = check(Tables.table11(spark), "table11.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-  }
-}
-
-class Table12Bench extends BenchSuite {
-  test("Table 12: executors vs time, incomplete store_sales") {
-    val t = check(Tables.table12(spark), "table12.md")
-    assertSpecializedBeatsReference(t, "distributed incomplete")
-  }
-}
-
-class MusicBrainzBench extends BenchSuite {
-  test("Appendix E: complex query, complete") {
-    val t = check(Tables.musicBrainz(spark, incomplete = false), "appendixE_complete.md")
-    assertSpecializedBeatsReference(t, "distributed complete")
-  }
-  test("Appendix E: complex query, incomplete") {
-    check(Tables.musicBrainz(spark, incomplete = true), "appendixE_incomplete.md")
+    table.assertShape(result)
   }
 }

@@ -11,23 +11,33 @@ import java.util.concurrent.atomic.AtomicReference
   */
 object BenchUtil {
 
-  /** One measurement: wall-clock seconds and the result cardinality (used
-    * as a cross-algorithm sanity check); both None on timeout or failure.
+  /** One measurement. Only a finished cell has a time and a result
+    * cardinality (the cardinality is a cross-algorithm sanity check).
     */
-  final case class Cell(seconds: Option[Double], rows: Option[Long]) {
-    def timedOut: Boolean = seconds.isEmpty
+  sealed trait Cell {
+    def seconds: Option[Double] = None
+    def rows: Option[Long] = None
+  }
+
+  object Cell {
+    final case class Finished(secs: Double, count: Long) extends Cell {
+      override def seconds: Option[Double] = Some(secs)
+      override def rows: Option[Long] = Some(count)
+    }
+    case object TimedOut extends Cell
+    /** The measured action threw: a broken cell, not a slow one. */
+    final case class Failed(error: Throwable) extends Cell
   }
 
   /** Run `body` (returning a row count) with a timeout; cancel via job group. */
   def timed(spark: SparkSession, timeoutSec: Int)(body: => Long): Cell = {
     val group = s"skyline-bench-${System.nanoTime()}"
-    val result = new AtomicReference[Option[Long]](None)
-    val error = new AtomicReference[Option[Throwable]](None)
+    val outcome = new AtomicReference[Either[Throwable, Long]]()
     val t0 = System.nanoTime()
     val worker = new Thread(() => {
       spark.sparkContext.setJobGroup(group, "skyline bench cell", interruptOnCancel = true)
-      try result.set(Some(body))
-      catch { case t: Throwable => error.set(Some(t)) }
+      try outcome.set(Right(body))
+      catch { case t: Throwable => outcome.set(Left(t)) }
       finally spark.sparkContext.clearJobGroup()
     }, group)
     worker.setDaemon(true)
@@ -36,15 +46,27 @@ object BenchUtil {
     if (worker.isAlive) {
       spark.sparkContext.cancelJobGroup(group)
       worker.join(30000L)
-      Cell(None, None)
-    } else {
-      error.get().foreach { t =>
+      Cell.TimedOut
+    } else outcome.get() match {
+      case Right(n) => Cell.Finished((System.nanoTime() - t0) / 1e9, n)
+      case Left(t) =>
         Console.err.println(s"[bench] cell failed: ${t.getMessage}")
-      }
-      result.get() match {
-        case Some(n) => Cell(Some((System.nanoTime() - t0) / 1e9), Some(n))
-        case None    => Cell(None, None)
-      }
+        Cell.Failed(t)
+    }
+  }
+
+  /** Run `body` with each `(key, value)` Spark conf set; afterwards each key
+    * is back at its previous value, or unset if it had none. AQE re-plans
+    * while a query runs, so a conf the planner reads must stay set through
+    * execution, not only while the plan is built.
+    */
+  def withConf[T](spark: SparkSession, confs: (String, String)*)(body: => T): T = {
+    val previous = confs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    confs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally previous.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
     }
   }
 
@@ -57,18 +79,8 @@ object BenchUtil {
       colLabels: Seq[String],
       rows: Seq[(String, Seq[Cell])]) {
 
-    private def fmtSec(c: Cell): String =
-      c.seconds.map(s => f"$s%.2f").getOrElse("t.o.")
-
-    private def fmtPct(c: Cell, ref: Cell): String =
-      (c.seconds, ref.seconds) match {
-        case (_, None)            => "n.a."
-        case (None, _)            => "t.o."
-        case (Some(s), Some(r))   => f"${100.0 * s / r}%.2f%%"
-      }
-
     def render: String = {
-      val refRow = rows.find(_._1 == "reference").map(_._2)
+      val refRow = rows.find(_._1 == Harness.ReferenceAlgo).map(_._2)
       val header = ("algorithm" +: colLabels).mkString("| ", " | ", " |")
       val sep = Seq.fill(colLabels.size + 1)("---").mkString("| ", " | ", " |")
       val pctBlock = refRow.fold("") { ref =>
@@ -99,6 +111,19 @@ object BenchUtil {
       val w = new java.io.PrintWriter(f, "UTF-8")
       try w.println(text) finally w.close()
     }
+  }
+
+  /** A cell's seconds as a result table shows them. */
+  def fmtSec(c: Cell): String = c match {
+    case Cell.Finished(s, _) => f"$s%.2f"
+    case Cell.TimedOut       => "t.o."
+    case Cell.Failed(_)      => "fail"
+  }
+
+  /** A cell's time as a percentage of the reference cell's. */
+  private def fmtPct(c: Cell, ref: Cell): String = ref match {
+    case Cell.Finished(r, _) => c.seconds.fold(fmtSec(c))(s => f"${100.0 * s / r}%.2f%%")
+    case _                   => "n.a."
   }
 
   /** Environment-overridable integer knob. */

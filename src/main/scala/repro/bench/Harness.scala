@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{Direction, SkylineConf}
 import repro.core.api._
 import repro.reference.ReferenceSkyline
-import BenchUtil.{Cell, BenchTable}
+import BenchUtil.{Cell, BenchTable, withConf}
 
 /** The benchmark harness reproducing the paper's evaluation grid (§6).
   *
@@ -21,17 +21,18 @@ import BenchUtil.{Cell, BenchTable}
 object Harness {
 
   val ReferenceAlgo = "reference"
-  val CompleteAlgos: Seq[String] =
-    Seq(ReferenceAlgo, "non-distributed complete", "distributed complete",
-      "distributed incomplete")
-  val IncompleteAlgos: Seq[String] = Seq(ReferenceAlgo, "distributed incomplete")
 
-  private def forcedConf(algo: String): String = algo match {
-    case "non-distributed complete" => "non-distributed-complete"
-    case "distributed complete"     => "distributed-complete"
-    case "distributed incomplete"   => "distributed-incomplete"
-    case other => sys.error(s"not a forced algorithm: $other")
-  }
+  /** The algorithm conf values a grid forces: every one but `auto`, and on
+    * incomplete data only the incomplete algorithm, since the complete ones
+    * are not correct when dimensions hold nulls (§6.3).
+    */
+  private def forcedAlgorithms(incomplete: Boolean): Seq[String] =
+    SkylineConf.Algorithms.filter(a => a != "auto" && (!incomplete || a.endsWith("-incomplete")))
+
+  /** A forced algorithm's row label: its conf value with the `-` before the
+    * data mode turned into a space, e.g. "non-distributed complete".
+    */
+  private def label(algorithm: String): String = algorithm.patch(algorithm.lastIndexOf('-'), " ", 1)
 
   /** One grid column: a dataset variant to sweep (dimension count, size or
     * executor count varies per table).
@@ -42,32 +43,31 @@ object Harness {
       dims: Seq[(String, Direction)],
       executors: Int)
 
-  /** Measure one algorithm on one prepared (cached, repartitioned) input. */
+  /** Measure one algorithm (a forced conf value, or None for the reference
+    * rewrite) on one prepared (cached, repartitioned) input.
+    */
   private def runCell(
       spark: SparkSession,
-      algo: String,
+      algo: Option[String],
       prepared: DataFrame,
       viewName: String,
       dims: Seq[(String, Direction)],
-      nullAware: Boolean,
-      timeoutSec: Int): Cell =
-    if (algo == ReferenceAlgo) {
+      incomplete: Boolean,
+      timeoutSec: Int): Cell = algo match {
+    case None =>
       val sql = ReferenceSkyline.rewrite(
-        viewName, prepared.columns.toSeq, dims, nullAware = nullAware)
+        viewName, prepared.columns.toSeq, dims, nullAware = incomplete)
       BenchUtil.timed(spark, timeoutSec) { spark.sql(sql).count() }
-    } else {
-      val previous = spark.conf.getOption(SkylineConf.Algorithm)
-      spark.conf.set(SkylineConf.Algorithm, forcedConf(algo))
-      try BenchUtil.timed(spark, timeoutSec) {
-        prepared.skylineOf(distinct = false, complete = false,
-          dims.map { case (n, d) => SkylineColumn(prepared(n), d) }).count()
-      } finally previous match {
-        case Some(v) => spark.conf.set(SkylineConf.Algorithm, v)
-        case None    => spark.conf.unset(SkylineConf.Algorithm)
+    case Some(conf) =>
+      withConf(spark, SkylineConf.Algorithm -> conf) {
+        BenchUtil.timed(spark, timeoutSec) {
+          prepared.skylineOf(distinct = false, complete = false,
+            dims.map { case (n, d) => SkylineColumn(prepared(n), d) }).count()
+        }
       }
-    }
+  }
 
-  /** One unmeasured pass of every algorithm over a 2k-row slice so JIT
+  /** One unmeasured pass of every algorithm over a 20k-row slice so JIT
     * compilation, codegen and shuffle setup are paid before timing starts
     * (the paper's cluster runs are long enough not to care; at laptop scale
     * warmup would otherwise dominate the first cells).
@@ -75,8 +75,8 @@ object Harness {
   private def warmup(
       spark: SparkSession,
       columns: Seq[Column],
-      algos: Seq[String],
-      nullAware: Boolean): Unit = {
+      algos: Seq[Option[String]],
+      incomplete: Boolean): Unit = {
     val col = columns.head
     val small = col.data.limit(20000).repartition(col.executors).cache()
     small.count()
@@ -85,12 +85,13 @@ object Harness {
     // tiered JIT compilation finishes before measurement
     val dimVariants = Seq(col.dims, columns.last.dims).distinct
     for (dims <- dimVariants; algo <- algos) {
-      runCell(spark, algo, small, "bench_warmup", dims, nullAware, timeoutSec = 60)
+      runCell(spark, algo, small, "bench_warmup", dims, incomplete, timeoutSec = 60)
     }
     small.unpersist()
   }
 
-  /** Run the full algorithm × column grid of one paper table.
+  /** Run the full algorithm × column grid of one paper table: the reference
+    * rewrite (null-aware on incomplete data) and [[forcedAlgorithms]].
     *
     * Inputs are materialized (cached and counted) before timing so the
     * measurement covers skyline evaluation, not data generation — the paper
@@ -100,27 +101,28 @@ object Harness {
       spark: SparkSession,
       title: String,
       columns: Seq[Column],
-      algos: Seq[String],
-      nullAware: Boolean,
+      incomplete: Boolean,
       timeoutSec: Int): BenchTable = {
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    val prevBroadcast = spark.conf.get("spark.sql.autoBroadcastJoinThreshold")
+    val algos = None +: forcedAlgorithms(incomplete).map(Some(_))
+    def name(algo: Option[String]) = algo.fold(ReferenceAlgo)(label)
     // paper-faithful reference plans: broadcast enabled as in default Spark
-    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", (10 * 1024 * 1024).toString)
-    try {
-      warmup(spark, columns, algos, nullAware)
+    withConf(spark, "spark.sql.autoBroadcastJoinThreshold" -> (10 * 1024 * 1024).toString) {
+      warmup(spark, columns, algos, incomplete)
       val grid: Seq[Seq[Cell]] = columns.map { col =>
         val prepared = col.data.repartition(col.executors).cache()
         prepared.count()
         val view = s"bench_${title.replaceAll("[^A-Za-z0-9]", "_")}_${col.label.replaceAll("[^A-Za-z0-9]", "_")}"
         prepared.createOrReplaceTempView(view)
-        spark.conf.set("spark.sql.shuffle.partitions", col.executors.toString)
-        val cells = algos.map { algo =>
-          val cell = runCell(spark, algo, prepared, view, col.dims, nullAware, timeoutSec)
-          Console.err.println(
-            s"[bench] $title | ${col.label} | $algo -> " +
-              cell.seconds.map(s => f"$s%.2f s (${cell.rows.getOrElse(-1L)} rows)").getOrElse("t.o."))
-          cell
+        val cells = withConf(spark, "spark.sql.shuffle.partitions" -> col.executors.toString) {
+          algos.map { algo =>
+            val cell = runCell(spark, algo, prepared, view, col.dims, incomplete, timeoutSec)
+            val shown = cell match {
+              case Cell.Finished(s, n) => f"$s%.2f s ($n rows)"
+              case other               => BenchUtil.fmtSec(other)
+            }
+            Console.err.println(s"[bench] $title | ${col.label} | ${name(algo)} -> $shown")
+            cell
+          }
         }
         // cross-algorithm sanity: identical cardinality where completed
         val counts = cells.flatMap(_.rows).distinct
@@ -130,11 +132,8 @@ object Harness {
         cells
       }
       BenchTable(title, columns.map(_.label), algos.zipWithIndex.map {
-        case (a, i) => a -> grid.map(_(i))
+        case (a, i) => name(a) -> grid.map(_(i))
       })
-    } finally {
-      spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-      spark.conf.set("spark.sql.autoBroadcastJoinThreshold", prevBroadcast)
     }
   }
 }

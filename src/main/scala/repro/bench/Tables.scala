@@ -1,16 +1,18 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.core.Direction
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{Direction, SkylineExtensions}
 import repro.data.SkylineData
 import BenchUtil.{envInt, BenchTable}
 import Harness.Column
 
-/** One entry point per reproduced evaluation table (paper Tables 3–12,
-  * Appendix D) plus the Appendix E complex-query experiment.
+/** The reproduced evaluation: paper Tables 3–12 (Appendix D) plus the
+  * Appendix E complex-query experiment, one [[Tables.Table]] each in
+  * [[Tables.all]]. The bench suite runs every entry; `main` runs them from
+  * the command line.
   *
   * Scale: the paper ran 0.8M–10M tuples on an 864-core cluster with a
-  * 3600 s timeout; these defaults run 15k–100k tuples on one machine with a
+  * 3600 s timeout; these defaults run 25k–500k tuples on one machine with a
   * 90 s timeout (same quadratic reference vs. near-linear specialized
   * trade-off, proportionally smaller crossover points). Override via
   * SKYLINE_BENCH_* environment variables.
@@ -30,124 +32,45 @@ object Tables {
     Seq(base, 2 * base, 5 * base, 10 * base) // paper: 1M, 2M, 5M, 10M
   }
   def executorSweep: Seq[Int] = Seq(1, 2, 3, 5, 10)
+  def musicBrainzRecordings: Int = envInt("SKYLINE_BENCH_MB", 30000)
 
-  private val NullFrac = 0.15
+  /** An input of the evaluation: its name in titles, what its size counts,
+    * its dimensions, and its rows for a size and a data mode (incomplete
+    * data has nulls).
+    */
+  final case class Dataset(
+      name: String,
+      unit: String,
+      dims: Seq[(String, Direction)],
+      rows: (SparkSession, Int, Boolean) => DataFrame)
 
-  private def dimPrefixes(dims: Seq[(String, Direction)]): Seq[(String, Seq[(String, Direction)])] =
-    (1 to dims.size).map(k => k.toString -> dims.take(k))
+  private def nullFraction(incomplete: Boolean): Double = if (incomplete) 0.15 else 0.0
 
-  /** Table 3: number of dimensions vs execution time, complete Airbnb. */
-  def table3(spark: SparkSession): BenchTable = {
-    val data = SkylineData.airbnb(spark, airbnbComplete)
-    Harness.runGrid(spark,
-      s"Table 3 — dims vs time, complete Airbnb (executors: 5, tuples: $airbnbComplete)",
-      dimPrefixes(SkylineData.airbnbDims).map { case (l, d) => Column(l, data, d, 5) },
-      Harness.CompleteAlgos, nullAware = false, timeoutSec)
-  }
+  private val Airbnb: Dataset = Dataset("Airbnb", "tuples", SkylineData.airbnbDims,
+    (spark, n, incomplete) => SkylineData.airbnb(spark, n, nullFraction(incomplete)))
 
-  /** Table 4: number of dimensions, incomplete Airbnb. */
-  def table4(spark: SparkSession): BenchTable = {
-    val data = SkylineData.airbnb(spark, airbnbIncomplete, NullFrac)
-    Harness.runGrid(spark,
-      s"Table 4 — dims vs time, incomplete Airbnb (executors: 5, tuples: $airbnbIncomplete)",
-      dimPrefixes(SkylineData.airbnbDims).map { case (l, d) => Column(l, data, d, 5) },
-      Harness.IncompleteAlgos, nullAware = true, timeoutSec)
-  }
-
-  /** Table 5: number of dimensions, complete store_sales. */
-  def table5(spark: SparkSession): BenchTable = {
-    val data = SkylineData.storeSales(spark, storeSalesT5)
-    Harness.runGrid(spark,
-      s"Table 5 — dims vs time, complete store_sales (executors: 10, tuples: $storeSalesT5)",
-      dimPrefixes(SkylineData.storeSalesDims).map { case (l, d) => Column(l, data, d, 10) },
-      Harness.CompleteAlgos, nullAware = false, timeoutSec)
-  }
-
-  /** Table 6: number of dimensions, incomplete store_sales (10× smaller). */
-  def table6(spark: SparkSession): BenchTable = {
-    val data = SkylineData.storeSales(spark, storeSalesT6, NullFrac)
-    Harness.runGrid(spark,
-      s"Table 6 — dims vs time, incomplete store_sales (executors: 10, tuples: $storeSalesT6)",
-      dimPrefixes(SkylineData.storeSalesDims).map { case (l, d) => Column(l, data, d, 10) },
-      Harness.IncompleteAlgos, nullAware = true, timeoutSec)
-  }
-
-  /** Table 7: number of tuples, complete store_sales, 6 dims. */
-  def table7(spark: SparkSession): BenchTable =
-    Harness.runGrid(spark,
-      "Table 7 — tuples vs time, complete store_sales (executors: 3, dims: 6)",
-      sizeSweep.map(n =>
-        Column(n.toString, SkylineData.storeSales(spark, n), SkylineData.storeSalesDims, 3)),
-      Harness.CompleteAlgos, nullAware = false, timeoutSec)
-
-  /** Table 8: number of tuples, incomplete store_sales, 6 dims. */
-  def table8(spark: SparkSession): BenchTable =
-    Harness.runGrid(spark,
-      "Table 8 — tuples vs time, incomplete store_sales (executors: 3, dims: 6)",
-      sizeSweep.map(n =>
-        Column(n.toString, SkylineData.storeSales(spark, n, NullFrac),
-          SkylineData.storeSalesDims, 3)),
-      Harness.IncompleteAlgos, nullAware = true, timeoutSec)
-
-  /** Table 9: number of executors, complete Airbnb, 6 dims. */
-  def table9(spark: SparkSession): BenchTable = {
-    val data = SkylineData.airbnb(spark, airbnbComplete)
-    Harness.runGrid(spark,
-      s"Table 9 — executors vs time, complete Airbnb (tuples: $airbnbComplete, dims: 6)",
-      executorSweep.map(k => Column(k.toString, data, SkylineData.airbnbDims, k)),
-      Harness.CompleteAlgos, nullAware = false, timeoutSec)
-  }
-
-  /** Table 10: number of executors, incomplete Airbnb, 6 dims. */
-  def table10(spark: SparkSession): BenchTable = {
-    val data = SkylineData.airbnb(spark, airbnbIncomplete, NullFrac)
-    Harness.runGrid(spark,
-      s"Table 10 — executors vs time, incomplete Airbnb (tuples: $airbnbIncomplete, dims: 6)",
-      executorSweep.map(k => Column(k.toString, data, SkylineData.airbnbDims, k)),
-      Harness.IncompleteAlgos, nullAware = true, timeoutSec)
-  }
-
-  /** Table 11: number of executors, complete store_sales (largest), 6 dims. */
-  def table11(spark: SparkSession): BenchTable = {
-    val n = sizeSweep.last
-    val data = SkylineData.storeSales(spark, n)
-    Harness.runGrid(spark,
-      s"Table 11 — executors vs time, complete store_sales (tuples: $n, dims: 6)",
-      executorSweep.map(k => Column(k.toString, data, SkylineData.storeSalesDims, k)),
-      Harness.CompleteAlgos, nullAware = false, timeoutSec)
-  }
-
-  /** Table 12: number of executors, incomplete store_sales (5M analogue), 6 dims. */
-  def table12(spark: SparkSession): BenchTable = {
-    val n = sizeSweep(2)
-    val data = SkylineData.storeSales(spark, n, NullFrac)
-    Harness.runGrid(spark,
-      s"Table 12 — executors vs time, incomplete store_sales (tuples: $n, dims: 6)",
-      executorSweep.map(k => Column(k.toString, data, SkylineData.storeSalesDims, k)),
-      Harness.IncompleteAlgos, nullAware = true, timeoutSec)
-  }
+  private val StoreSales: Dataset = Dataset("store_sales", "tuples", SkylineData.storeSalesDims,
+    (spark, n, incomplete) => SkylineData.storeSales(spark, n, nullFraction(incomplete)))
 
   /** Appendix E: skyline over a complex query (joins + aggregates) on the
-    * MusicBrainz-like dataset; dimension sweep at 3 executors. Shape-check
-    * companion to Figures 16–19 (figures themselves are out of scope).
+    * MusicBrainz-like dataset. Shape-check companion to Figures 16–19 (the
+    * figures themselves are out of scope).
     */
-  def musicBrainz(spark: SparkSession, incomplete: Boolean): BenchTable = {
-    val n = envInt("SKYLINE_BENCH_MB", 30000)
-    val (rec, meta, track) = SkylineData.musicBrainz(spark, n,
-      if (incomplete) NullFrac else 0.0)
-    rec.createOrReplaceTempView("mb_recording")
-    meta.createOrReplaceTempView("mb_meta")
-    track.createOrReplaceTempView("mb_track")
-    // Listing 11 (complete: nulls coalesced away) vs Listing 12 (incomplete:
-    // raw values, left-outer join leaves num_tracks/min_position null)
-    val trackAgg =
-      """LEFT OUTER JOIN (
-        |  SELECT recording AS id, count(1) AS num_tracks,
-        |         min(position) AS min_position
-        |  FROM mb_track GROUP BY recording
-        |) t USING (id)
-        |JOIN mb_meta m USING (id)""".stripMargin
-    val base =
+  private val MusicBrainz: Dataset = Dataset("MusicBrainz complex query", "recordings",
+    SkylineData.musicBrainzDims, { (spark, n, incomplete) =>
+      val (rec, meta, track) = SkylineData.musicBrainz(spark, n, nullFraction(incomplete))
+      rec.createOrReplaceTempView("mb_recording")
+      meta.createOrReplaceTempView("mb_meta")
+      track.createOrReplaceTempView("mb_track")
+      // Listing 11 (complete: nulls coalesced away) vs Listing 12 (incomplete:
+      // raw values, left-outer join leaves num_tracks/min_position null)
+      val trackAgg =
+        """LEFT OUTER JOIN (
+          |  SELECT recording AS id, count(1) AS num_tracks,
+          |         min(position) AS min_position
+          |  FROM mb_track GROUP BY recording
+          |) t USING (id)
+          |JOIN mb_meta m USING (id)""".stripMargin
       if (incomplete) spark.sql(
         s"""SELECT r.id, r.length, r.video, m.rating, m.rating_count,
            |       t.num_tracks, t.min_position
@@ -161,13 +84,137 @@ object Tables {
            |       ifnull(t.min_position, 99) AS min_position
            |FROM mb_recording r
            |$trackAgg""".stripMargin)
-    val variant = if (incomplete) "incomplete" else "complete"
-    Harness.runGrid(spark,
-      s"Appendix E — dims vs time, $variant MusicBrainz complex query (executors: 3, recordings: $n)",
-      dimPrefixes(SkylineData.musicBrainzDims).map { case (l, d) =>
-        Column(l, base, d, 3)
-      },
-      if (incomplete) Harness.IncompleteAlgos else Harness.CompleteAlgos,
-      nullAware = incomplete, timeoutSec)
+    })
+
+  /** What a table's columns vary; the other two knobs stay fixed. */
+  sealed trait Sweep { def data: Dataset }
+  /** Columns add one dimension at a time (Tables 3–6, Appendix E). */
+  final case class OverDims(data: Dataset, n: Int, executors: Int) extends Sweep
+  /** Columns grow the data, all dimensions (Tables 7–8). */
+  final case class OverTuples(data: Dataset, sizes: Seq[Int], executors: Int) extends Sweep
+  /** Columns add executors, all dimensions (Tables 9–12). */
+  final case class OverExecutors(data: Dataset, n: Int, executors: Seq[Int]) extends Sweep
+
+  /** A fact about the shape of a result that the paper shows and that is
+    * robust enough to assert at laptop scale.
+    */
+  sealed trait Shape
+  /** The paper's headline claim: the distributed specialized algorithm is
+    * not slower in aggregate than the reference (timeouts charged at the
+    * limit).
+    */
+  case object BeatsReference extends Shape
+  /** Execution time grows with the data for every algorithm. */
+  case object GrowsWithData extends Shape
+
+  /** One reproduced table.
+    *
+    * @param id         the result file stem (`bench/results/<id>.md`) and the
+    *                   name `main` takes
+    * @param name       the bench test name; the text before its `:` starts
+    *                   the result title
+    * @param incomplete whether the data has nulls: sets the null fraction,
+    *                   the algorithms and the null-aware reference
+    */
+  final case class Table(
+      id: String,
+      name: String,
+      incomplete: Boolean,
+      sweep: Sweep,
+      shape: Seq[Shape] = Seq(BeatsReference)) {
+
+    private def variant = if (incomplete) "incomplete" else "complete"
+
+    def run(spark: SparkSession): BenchTable = {
+      val data = sweep.data
+      def load(n: Int) = data.rows(spark, n, incomplete)
+      val (varies, fixed, columns) = sweep match {
+        case OverDims(_, n, e) =>
+          val df = load(n)
+          ("dims", s"executors: $e, ${data.unit}: $n",
+            (1 to data.dims.size).map(k => Column(k.toString, df, data.dims.take(k), e)))
+        case OverTuples(_, sizes, e) =>
+          ("tuples", s"executors: $e, dims: ${data.dims.size}",
+            sizes.map(n => Column(n.toString, load(n), data.dims, e)))
+        case OverExecutors(_, n, es) =>
+          val df = load(n)
+          ("executors", s"${data.unit}: $n, dims: ${data.dims.size}",
+            es.map(k => Column(k.toString, df, data.dims, k)))
+      }
+      Harness.runGrid(spark,
+        s"${name.takeWhile(_ != ':')} — $varies vs time, $variant ${data.name} ($fixed)",
+        columns, incomplete, timeoutSec)
+    }
+
+    /** Throws an AssertionError when `result` lacks one of [[shape]]. */
+    def assertShape(result: BenchTable): Unit = shape.foreach {
+      case BeatsReference =>
+        val specialized = s"distributed $variant"
+        def total(algo: String) = result.rows.find(_._1 == algo).get._2
+          .map(_.seconds.getOrElse(timeoutSec.toDouble)).sum
+        val (refSum, specSum) = (total(Harness.ReferenceAlgo), total(specialized))
+        assert(specSum <= refSum,
+          s"$specialized ($specSum s) should not be slower in aggregate than reference ($refSum s)")
+      case GrowsWithData =>
+        result.rows.foreach { case (algo, cells) =>
+          val done = cells.flatMap(_.seconds)
+          assert(done.size < 2 || done.last >= done.head * 0.5,
+            s"$algo: ${done.last} s at the largest size, below half of ${done.head} s at the smallest")
+        }
+    }
+  }
+
+  /** Every reproduced table, in the order `main` runs them. */
+  val all: Seq[Table] = Seq(
+    Table("table3", "Table 3: dims vs time, complete Airbnb", incomplete = false,
+      OverDims(Airbnb, airbnbComplete, executors = 5)),
+    Table("table4", "Table 4: dims vs time, incomplete Airbnb", incomplete = true,
+      OverDims(Airbnb, airbnbIncomplete, executors = 5)),
+    Table("table5", "Table 5: dims vs time, complete store_sales", incomplete = false,
+      OverDims(StoreSales, storeSalesT5, executors = 10)),
+    // the paper's Table 6 has a cell where the reference wins: no ordering
+    Table("table6", "Table 6: dims vs time, incomplete store_sales", incomplete = true,
+      OverDims(StoreSales, storeSalesT6, executors = 10), shape = Nil),
+    Table("table7", "Table 7: tuples vs time, complete store_sales", incomplete = false,
+      OverTuples(StoreSales, sizeSweep, executors = 3), shape = Seq(BeatsReference, GrowsWithData)),
+    Table("table8", "Table 8: tuples vs time, incomplete store_sales", incomplete = true,
+      OverTuples(StoreSales, sizeSweep, executors = 3)),
+    Table("table9", "Table 9: executors vs time, complete Airbnb", incomplete = false,
+      OverExecutors(Airbnb, airbnbComplete, executorSweep)),
+    Table("table10", "Table 10: executors vs time, incomplete Airbnb", incomplete = true,
+      OverExecutors(Airbnb, airbnbIncomplete, executorSweep)),
+    Table("table11", "Table 11: executors vs time, complete store_sales (largest)",
+      incomplete = false, OverExecutors(StoreSales, sizeSweep.last, executorSweep)),
+    Table("table12", "Table 12: executors vs time, incomplete store_sales", incomplete = true,
+      OverExecutors(StoreSales, sizeSweep(2), executorSweep)), // the paper's 5M
+    Table("appendixE_complete", "Appendix E: complex query, complete", incomplete = false,
+      OverDims(MusicBrainz, musicBrainzRecordings, executors = 3)),
+    Table("appendixE_incomplete", "Appendix E: complex query, incomplete", incomplete = true,
+      OverDims(MusicBrainz, musicBrainzRecordings, executors = 3), shape = Nil),
+  )
+
+  /** The tables named by `ids`, in that order; every table for no ids. */
+  def select(ids: Seq[String]): Seq[Table] =
+    if (ids.isEmpty) all
+    else ids.map(id => all.find(_.id == id).getOrElse(throw new IllegalArgumentException(
+      s"unknown table '$id'; valid ids: ${all.map(_.id).mkString(", ")}")))
+
+  /** Runs the tables named on the command line (every table for none) in a
+    * session with the skyline extensions installed, and writes each result
+    * to `bench/results/<id>.md`:
+    * {{{
+    *   spark-submit --class repro.bench.Tables target/scala-2.13/repro_2.13-*.jar table3 table4
+    * }}}
+    */
+  def main(args: Array[String]): Unit = {
+    val tables = select(args.toSeq)
+    val spark = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("skyline-tables")
+      .config("spark.ui.enabled", "false")
+      .withExtensions(new SkylineExtensions)
+      .getOrCreate()
+    try tables.foreach(t => t.run(spark).report(s"${t.id}.md"))
+    finally spark.stop()
   }
 }

@@ -15,7 +15,7 @@ object SkylineConf {
   val Algorithm = "spark.sql.skyline.algorithm"
 
   val Algorithms: Seq[String] =
-    Seq("auto", "distributed-complete", "non-distributed-complete", "distributed-incomplete")
+    Seq("auto", "non-distributed-complete", "distributed-complete", "distributed-incomplete")
 
   private lazy val read: SparkSession => String = Bridge.stringConf(Algorithm, Algorithms,
     default = "auto",

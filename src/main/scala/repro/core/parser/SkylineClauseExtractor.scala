@@ -1,5 +1,6 @@
 package repro.core.parser
 
+import java.util.Locale
 import org.apache.spark.sql.catalyst.parser.{SqlBaseLexer, SqlTokens}
 import repro.core.Direction
 
@@ -42,9 +43,9 @@ object SkylineClauseExtractor {
 
   def extract(sql: String): Option[Extraction] = {
     // Fast path: virtually every query lacks the keyword entirely.
-    if (!sql.toUpperCase.contains("SKYLINE")) return None
+    if (!sql.toUpperCase(Locale.ROOT).contains("SKYLINE")) return None
     val tokens = SqlTokens(sql)
-    def word(i: Int): String = if (i < tokens.length) tokens(i).getText.toUpperCase else ""
+    def word(i: Int): String = if (i < tokens.length) tokens(i).getText.toUpperCase(Locale.ROOT) else ""
     def isClause(i: Int): Boolean = word(i) == "SKYLINE" && word(i + 1) == "OF"
     def nesting(i: Int): Int = tokens(i).getType match {
       case SqlBaseLexer.LEFT_PAREN  => 1

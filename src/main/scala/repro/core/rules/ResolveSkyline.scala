@@ -63,12 +63,15 @@ case class ResolveSkyline(session: SparkSession)
       if (newChild.output == sky.child.output) newSky else Project(sky.child.output, newSky)
   }
 
-  /** Unresolved dimensions need help; so do dimensions holding a bare
-    * aggregate function (e.g. `SKYLINE OF count(1) MAX`), which are resolved
-    * as expressions yet only evaluable inside the child Aggregate.
+  /** Unresolved dimensions need help; so do resolved dimensions the child
+    * no longer outputs (e.g. `df.select("id").skyline(smin(df("price")))`,
+    * as for ORDER BY), and dimensions holding a bare aggregate function
+    * (e.g. `SKYLINE OF count(1) MAX`), which are resolved as expressions yet
+    * only evaluable inside the child Aggregate.
     */
   private def needsRewrite(sky: SkylineOperator): Boolean =
-    !sky.resolved || sky.dimensions.exists(_.child.exists(_.isInstanceOf[AggregateExpression]))
+    !sky.resolved || sky.missingInput.nonEmpty ||
+      sky.dimensions.exists(_.child.exists(_.isInstanceOf[AggregateExpression]))
 
   /** The Aggregate of a grouped query, seen through HAVING's Filter and the
     * Project that HAVING resolution may put above it.

@@ -106,7 +106,7 @@ object SkylineData {
   }
 
   /** DSB store_sales-like facts (Table 2 schema). `ss_quantity` lives on a
-    * small domain (1..100) so the 1-dimension MAX skyline is huge — the
+    * small domain (1..25) so the 1-dimension MAX skyline is huge — the
     * feature behind the paper's dramatic reference blowup at one dimension
     * (Table 5). Price columns are correlated: list ≥ wholesale ≥ 0,
     * sales ≤ list.

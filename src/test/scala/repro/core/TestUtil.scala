@@ -58,15 +58,8 @@ object TestUtil {
     * the planner strategies while the query runs.
     */
   def withAlgorithm[T](spark: org.apache.spark.sql.SparkSession, algorithm: String)
-      (body: => T): T = {
-    val previous = spark.conf.getOption(SkylineConf.Algorithm)
-    spark.conf.set(SkylineConf.Algorithm, algorithm)
-    try body
-    finally previous match {
-      case Some(v) => spark.conf.set(SkylineConf.Algorithm, v)
-      case None    => spark.conf.unset(SkylineConf.Algorithm)
-    }
-  }
+      (body: => T): T =
+    repro.bench.BenchUtil.withConf(spark, SkylineConf.Algorithm -> algorithm)(body)
 
   /** A fully executed skyline run: result rows + all physical nodes. */
   final case class SkylineRun(rows: Seq[Row], nodes: Seq[org.apache.spark.sql.execution.SparkPlan])

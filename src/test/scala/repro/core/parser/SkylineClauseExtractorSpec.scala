@@ -24,6 +24,15 @@ class SkylineClauseExtractorSpec extends AnyFunSuite {
     assert(e.items == Seq("a" -> Min, "b" -> Max, "c" -> Diff))
   }
 
+  test("keywords match under a default locale with other case rules (tr)") {
+    val saved = java.util.Locale.getDefault
+    java.util.Locale.setDefault(java.util.Locale.forLanguageTag("tr"))
+    try {
+      val e = ex("select * from t skyline of a min, b max").get
+      assert(e.items == Seq("a" -> Min, "b" -> Max))
+    } finally java.util.Locale.setDefault(saved)
+  }
+
   test("DISTINCT flag") {
     val e = ex("SELECT * FROM t SKYLINE OF DISTINCT a MIN").get
     assert(e.distinct && !e.complete)

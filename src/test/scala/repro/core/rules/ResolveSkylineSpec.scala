@@ -155,6 +155,17 @@ class ResolveSkylineSpec extends SparkSpec {
     assert(out.count() >= 1)
   }
 
+  test("a resolved dimension dropped by a Project resolves, as for ORDER BY (DataFrame API)") {
+    import repro.core.api._
+    withHotels {
+      val df = spark.table("rs_hotels")
+      val out = df.select("id").skyline(smin(df("price")))
+      assert(out.columns.toSeq == Seq("id"))
+      TestUtil.assertSameRows(out.collect().toSeq,
+        df.skyline(smin("price")).select("id").collect().toSeq)
+    }
+  }
+
   test("sort on aggregate with HAVING still resolves in stock Spark 4 (Appendix B regression)") {
     withHotels {
       // The paper reports a Spark 3.2 analyzer bug (Sort over Filter over
